@@ -1,6 +1,6 @@
 """Set-up probe: a fresh process that gets one workload ready for its first job.
 
-    python3 perfbench/probe.py --workload table1 --seed 1 --seconds 20
+    python3 perfbench/probe.py --workload glitch --seed 1 --seconds 18
 
 Prints one line, ``ready {...}``, once every circuit, program and engine the
 workload's job list needs is built and the native kernel is loaded, then

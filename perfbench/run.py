@@ -2,21 +2,21 @@
 
     python3 perfbench/run.py --workload glitch --seed 1 --seconds 18 --trace 0
 
-Workloads: glitch, sharded and service (those of BENCHMARK.json), and
-table1, which is left out of it as unsteady but still runs by hand
-(perfbench/README.md says why).
-Run it from the root of a checkout.  Every job is checked, and the last line
-of standard output is one JSON object with the keys ``correct``,
-``attempted``, ``failed`` and ``metrics``: the end-to-end metrics of
-BENCHMARK.json with ``--trace 0``, its per-layer metrics with ``--trace 1``.
-The line before it records the run's settings and host.  The program cache,
-result digests, traces and run records live under ``.perfbench/``.
+Workloads: glitch, sharded and service.  Run it from the root of a checkout.
+Every job is checked, and the last line of standard output is one JSON object
+with the keys ``correct``, ``attempted``, ``failed`` and ``metrics``: the
+end-to-end metrics of BENCHMARK.json with ``--trace 0``, its per-layer
+metrics with ``--trace 1``.  The line before it records the run's settings
+and host.  The program cache, result digests, traces and run records live
+under ``.perfbench/``; digests and references are kept per version of the
+program (:func:`program_version`).
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import math
 import os
@@ -38,6 +38,19 @@ SETUP_SAMPLES = 3
 #: reference never depends on the workload seed it checks.
 REFERENCE_SEED = 1997
 SERVICE_VERIFY_EVERY = 4
+
+
+def program_version() -> str:
+    """Hash of the program's sources and of the job lists.
+
+    Kept digests and references are filed under it, so a run never compares
+    its results with those of another version of the program.
+    """
+    digest = hashlib.sha256()
+    sources = sorted((ROOT / "src" / "repro").rglob("*.py"))
+    for path in sources + [ROOT / "perfbench" / "workloads.py"]:
+        digest.update(f"{path.relative_to(ROOT)}\0".encode() + path.read_bytes() + b"\0")
+    return digest.hexdigest()[:16]
 
 
 def calibrate() -> float:
@@ -108,17 +121,18 @@ def probe_setup(args, env, log, count: int) -> list[dict]:
     return samples
 
 
-def reference_powers(circuits) -> dict[str, float]:
-    """Long-simulation reference power per circuit (outside every timed region).
+def reference_powers(circuits, version: str) -> dict[str, float]:
+    """Long-simulation zero-delay reference power per circuit (outside every timed region).
 
-    The reference is a pure function of the circuit and this checkout's
-    program, so it is computed once per checkout and kept under ``.perfbench``.
+    The reference is a pure function of the circuit and the program, so it is
+    computed once per program version and kept under ``.perfbench``.
     """
     from repro.circuits.iscas89 import build_circuit
     from repro.power.reference import estimate_reference_power
     from repro.stimulus.random_inputs import BernoulliStimulus
 
-    path = STATE / "references.json"
+    path = STATE / "references" / f"{version}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
     known = json.loads(path.read_text()) if path.exists() else {}
     powers = {}
     for name in dict.fromkeys(circuits):
@@ -145,11 +159,11 @@ def run_in_process(args, specs, wl, checks: Checks, log, env) -> dict:
     ready = wl.get_ready(specs)
     age = process_age()
     setup = [dict(ready, setup_s=age)] if age is not None else []
-    references = (
-        reference_powers(spec.circuit for spec in specs)
-        if args.workload in ("table1", "sharded") else {}
+    # Only zero-delay estimates are checked: the reference is zero-delay power.
+    references = reference_powers(
+        (s.circuit for s in specs if s.config.power_simulator == "zero-delay"), args.version
     )
-    report: dict = {"kernel_loaded": ready["kernel_loaded"], "references": references}
+    report: dict = {"kernel_loaded": ready["kernel_loaded"]}
 
     report["calib_before"] = calibrate()
     gc.collect()
@@ -213,10 +227,13 @@ def accuracy_check(outcomes, specs, references, pass_index, checks: Checks) -> N
     only when there are more than a correct estimator gives with probability
     0.999, or when one misses by more than twice the spec.
     """
-    misses = []
+    misses, checked = [], 0
     for outcome, spec in zip(outcomes, specs):
         reference = references.get(outcome.circuit)
-        if outcome.estimate is None or not reference:
+        if spec.config.power_simulator != "zero-delay" or not reference:
+            continue
+        checked += 1
+        if outcome.estimate is None:
             continue
         error = abs(outcome.estimate["average_power_w"] / reference - 1.0)
         outcome.extra["rel_error"] = error
@@ -226,7 +243,7 @@ def accuracy_check(outcomes, specs, references, pass_index, checks: Checks) -> N
         elif error > limit:
             misses.append((outcome, error))
     checks.spec_misses += len(misses)
-    if misses and len(misses) > allowed_misses(len(outcomes), 1 - specs[0].config.confidence):
+    if misses and len(misses) > allowed_misses(checked, 1 - specs[0].config.confidence):
         for outcome, error in misses:
             checks.fail((pass_index, outcome.name), f"{error:.2%} off the reference "
                                                     f"({len(misses)} misses in the pass)")
@@ -252,6 +269,7 @@ def replay_check(args, specs, wl, outcomes, checks: Checks) -> None:
 
 
 def run_service(args, specs, wl, checks: Checks, log, env) -> dict:
+    from repro.service.loadtest import _audit_event_log, _canonical
     from tracing import Tracer
 
     stores = STATE / "stores" / f"run-{os.getpid()}"
@@ -292,16 +310,16 @@ def run_service(args, specs, wl, checks: Checks, log, env) -> dict:
         for index, (spec, outcome) in enumerate(zip(specs, outcomes)):
             if outcome.error is not None:
                 continue
-            problem = wl.audit_event_log(outcome.extra["envelopes"])
-            if problem:
-                checks.fail((pass_index, outcome.name), problem)
+            problems = _audit_event_log(outcome.extra["job_id"], outcome.extra["envelopes"])
+            if problems:
+                checks.fail((pass_index, outcome.name), "; ".join(problems))
             # In-process runs cost ~10 ms a job: compare every SERVICE_VERIFY_EVERY-th
             # job, a different share for each seed; digests cover every job.
             if (index - args.seed) % SERVICE_VERIFY_EVERY:
                 continue
             if spec.name not in expected:
                 expected[spec.name] = wl.in_process_payload(spec)
-            if wl.canonical(outcome.extra["result"]) != expected[spec.name]:
+            if _canonical(outcome.extra["result"]) != expected[spec.name]:
                 checks.fail((pass_index, outcome.name), "result differs from in-process run_job")
     return report
 
@@ -451,7 +469,8 @@ def work_done(outcomes, specs) -> dict:
 # -------------------------------------------------------------------- main
 def digest_check(args, outcomes, checks: Checks) -> None:
     """Every job's digest must repeat exactly in any later run at the same seed."""
-    path = STATE / "digests" / f"{args.workload}-n{args.seconds}-seed{args.seed}.json"
+    name = f"{args.workload}-n{args.seconds}-seed{args.seed}.json"
+    path = STATE / "digests" / args.version / name
     current = {o.name: o.digest for o in outcomes if o.digest is not None}
     if path.exists():
         for name, digest in json.loads(path.read_text()).items():
@@ -467,7 +486,7 @@ def digest_check(args, outcomes, checks: Checks) -> None:
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True,
-                        choices=("table1", "glitch", "sharded", "service"))
+                        choices=("glitch", "sharded", "service"))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -490,6 +509,7 @@ def main(argv=None) -> int:
     for name in ("REPRO_FAULTS", "REPRO_SHARD_HOSTS", "REPRO_SHARD_START_METHOD"):
         os.environ.pop(name, None)
     sys.path.insert(0, str(ROOT / "src"))
+    args.version = program_version()
     import numpy
 
     import workloads as wl
@@ -534,6 +554,7 @@ def main(argv=None) -> int:
     callers = wl.SERVICE_CALLERS if args.workload == "service" else 1
     info = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+        "program_version": args.version,
         "trace": args.trace, "jobs": len(specs), "nproc": os.cpu_count(),
         "client_threads": callers, "connections": callers,
         "server_workers": wl.SERVICE_SERVER_WORKERS if args.workload == "service" else 0,

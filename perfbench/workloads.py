@@ -30,27 +30,24 @@ from repro.core.config import EstimationConfig
 #: Seconds one round of each in-process job list takes on a 2-CPU x86 VM with
 #: warm caches.  ``--seconds`` buys ``round(seconds / nominal)`` rounds, at
 #: least one, so the work done never depends on how fast the host happens to
-#: be during a run.  A table1 round is one job; the job list walks its
-#: circuits in table order, as many times as the rounds reach.
-NOMINAL_ROUND_SECONDS = {"table1": 0.2, "glitch": 7.8, "sharded": 0.96}
+#: be during a run.
+NOMINAL_ROUND_SECONDS = {"glitch": 9.0, "sharded": 1.1}
 
 #: Closed-loop service throughput on the same VM (jobs per second).
-NOMINAL_SERVICE_JOBS_PER_SECOND = 40
-
-#: The two smallest Table 1 circuits.  The cost of one paper-default job
-#: varies across seeds with a coefficient of variation of 0.3-0.8 (the runs
-#: test picks the interval), so a run needs many jobs; with the 11 circuits of
-#: at most 250 gates or all 21 of at most 700 gates it holds too few.  Even so
-#: table1 spread past the 0.25 bound on a drifting host and is left out of
-#: BENCHMARK.json (perfbench/README.md, "Measured spread").
-TABLE1_CIRCUITS = ("s208", "s298")
+NOMINAL_SERVICE_JOBS_PER_SECOND = 30
 
 #: A glitch round: twenty single-chain runs of s27 (scalar event engine), one
 #: 64-chain run of s27 (vectorized time wheel) and one single-chain run of
 #: s208 or s344 in turn, the cheapest Table 1 circuits under this engine.  The
 #: short s27 jobs make up most of the latency percentiles, which keeps them
-#: steady across seeds; s298 and s386-s526 take 3-7 s a job.
+#: steady across seeds; s298 and s386-s526 take 3-7 s a job.  Each round also
+#: runs two paper-default jobs (one chain, zero-delay power): s27, and s208 or
+#: s298 in turn, so the width-1 zero-delay power path is timed and checked
+#: against the reference.  A whole Table 1 job list spread too much across
+#: seeds to be a workload of its own (perfbench/README.md, "Measured spread").
 GLITCH_CIRCUITS = ("s208", "s344")
+PAPER_CIRCUITS = ("s208", "s298")
+PAPER_CONFIG = EstimationConfig()
 GLITCH_CONFIG = EstimationConfig(power_simulator="event-driven")
 GLITCH_WIDE_CONFIG = EstimationConfig(power_simulator="event-driven", num_chains=64)
 
@@ -79,12 +76,12 @@ def job_specs(workload: str, seed: int, seconds: int) -> list[JobSpec]:
     rounds = rounds_for(workload, seconds)
     plan: list[tuple[str, EstimationConfig]] = []
     for index in range(rounds):
-        if workload == "table1":
-            plan.append((TABLE1_CIRCUITS[index % len(TABLE1_CIRCUITS)], EstimationConfig()))
-        elif workload == "glitch":
-            circuit = GLITCH_CIRCUITS[index % len(GLITCH_CIRCUITS)]
+        if workload == "glitch":
             plan += [("s27", GLITCH_CONFIG)] * 10 + [("s27", GLITCH_WIDE_CONFIG)]
-            plan += [("s27", GLITCH_CONFIG)] * 10 + [(circuit, GLITCH_CONFIG)]
+            plan += [("s27", GLITCH_CONFIG)] * 10
+            plan.append((GLITCH_CIRCUITS[index % len(GLITCH_CIRCUITS)], GLITCH_CONFIG))
+            plan += [("s27", PAPER_CONFIG), (PAPER_CIRCUITS[index % len(PAPER_CIRCUITS)],
+                                             PAPER_CONFIG)]
         elif workload == "sharded":
             plan += [(name, SHARDED_CONFIG) for name in SHARDED_ROUND]
         else:
@@ -95,7 +92,7 @@ def job_specs(workload: str, seed: int, seconds: int) -> list[JobSpec]:
             circuit=circuit,
             config=config,
             seed=job_seed,
-            label=f"{workload}-{index:04d}-{circuit}-c{config.num_chains}",
+            label=f"{workload}-{index:04d}-{circuit}-c{config.num_chains}-{config.power_simulator}",
         )
         for index, ((circuit, config), job_seed) in enumerate(zip(plan, seeds))
     ]
@@ -342,38 +339,11 @@ def _service_job(client, index: int, spec: JobSpec, tracer) -> JobOutcome:
     return outcome
 
 
-def audit_event_log(envelopes: list[dict[str, Any]]) -> str | None:
-    """The service's per-job log contract: seqs 0..n-1, queued first, one terminal last."""
-    from repro.service.events import TERMINAL_EVENT_KINDS
-
-    if [envelope["seq"] for envelope in envelopes] != list(range(len(envelopes))):
-        return "event seqs are not contiguous from 0"
-    kinds = [envelope["event"]["kind"] for envelope in envelopes]
-    if not kinds or kinds[0] != "job-queued":
-        return "first event is not job-queued"
-    if sum(kind in TERMINAL_EVENT_KINDS for kind in kinds) != 1 or (
-        kinds[-1] not in TERMINAL_EVENT_KINDS
-    ):
-        return "expected exactly one terminal event, at the end"
-    return None
-
-
-def canonical(payload: Any) -> str:
-    """Canonical JSON of a result payload without its wall-clock ``elapsed_seconds``."""
-    return json.dumps(_strip_elapsed(payload), sort_keys=True)
-
-
-def _strip_elapsed(payload: Any) -> Any:
-    if isinstance(payload, dict):
-        return {k: _strip_elapsed(v) for k, v in payload.items() if k != "elapsed_seconds"}
-    if isinstance(payload, list):
-        return [_strip_elapsed(item) for item in payload]
-    return payload
-
-
 def in_process_payload(spec: JobSpec) -> str:
     """What ``run_job`` returns for *spec* in this process, in canonical form."""
-    return canonical(run_job(spec).to_dict()["result"])
+    from repro.service.loadtest import _canonical
+
+    return _canonical(run_job(spec).to_dict()["result"])
 
 
 def environment(root: Path, cache: Path) -> dict[str, str]:
