@@ -221,8 +221,10 @@ def register_simulator(
     where *program* is a :class:`~repro.circuits.program.CircuitProgram`
     (or a compiled circuit — normalise with ``CircuitProgram.of``) and the
     returned engine measures power over the sampler's zero-delay state
-    engine through ``measure_lanes(state_engine, pattern)`` /
-    ``measure_total(state_engine, pattern)``.  The registered name becomes
+    engine through ``measure_lanes(state_engine, pattern)``,
+    ``measure_total(state_engine, pattern)`` and
+    ``measure_lane0(state_engine, pattern)`` (lane 0 only, for interval
+    selection; must equal entry 0 of ``measure_lanes``).  The registered name becomes
     valid in ``EstimationConfig(power_simulator="name")`` and therefore in
     serialized :class:`~repro.api.jobs.JobSpec`s and on the command line
     (``--power-simulator``).

@@ -29,9 +29,10 @@ in the batch runner.
   parent's prebuilt program through the process boundary and batch-runner
   workers cache-hit on disk, so neither recompiles per shard or per job.
 * **Derived schedules memoized.**  Per-delay-model quantized tick schedules
-  (:meth:`CircuitProgram.delay_schedule`) and per-capacitance-model node
-  vectors (:meth:`CircuitProgram.capacitances`) are computed once per program
-  and shared by every engine built on it.
+  (:meth:`CircuitProgram.delay_schedule`), per-capacitance-model node
+  vectors (:meth:`CircuitProgram.capacitances`) and their capacitance class
+  tables (:meth:`CircuitProgram.capacitance_classes`) are computed once per
+  program and shared by every engine built on it.
 
 Optional structural optimization passes (dead-net sweep, fanout-free
 buffer/inverter collapse) live behind :meth:`CircuitProgram.optimize`.  They
@@ -63,6 +64,7 @@ from repro.simulation.compiled import CompiledCircuit
 from repro.simulation.delay_models import DelayModel, quantize_delays
 
 __all__ = [
+    "CapacitanceClasses",
     "CircuitProgram",
     "DelaySchedule",
     "GateGroupPlan",
@@ -79,7 +81,7 @@ PROGRAM_CACHE_ENV = "REPRO_PROGRAM_CACHE"
 
 #: Bumped whenever the lowered table layout changes; stale cache files from
 #: older layouts are ignored rather than mis-read.
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 #: Reduction kind per gate type: (opcode, output inverted).  This is *the*
 #: opcode mapping — both vectorized engines and the native kernels consume
@@ -193,6 +195,67 @@ class DelaySchedule:
     any_zero_ticks: bool
 
 
+class CapacitanceClasses:
+    """The distinct values of one per-net capacitance vector.
+
+    Every engine counts toggles per ``(class, lane)`` in integers and turns
+    the counts into switched capacitance with :meth:`lane_energies` or
+    :meth:`energy`, which add the per-class products in one fixed order
+    (ascending capacitance).  A lane's float therefore depends only on its
+    own toggle counts: not on the engine, the event order, or which other
+    lanes share the call.  That is what makes a lane subset (a shard, or
+    lane 0 alone) reproduce the full ensemble bit for bit.
+
+    Attributes
+    ----------
+    values:
+        ``(num_classes,)`` float64 class capacitances, ascending.
+    net_class:
+        ``(num_nets,)`` int64 class index of every net.
+    order / starts:
+        Nets sorted by class, and the offset of each class in that order
+        (the :func:`numpy.add.reduceat` segments of :meth:`lane_counts`).
+    class_list:
+        :attr:`net_class` as Python ints, for the pure-Python engines.
+    """
+
+    def __init__(self, capacitance: np.ndarray):
+        values, net_class = np.unique(capacitance, return_inverse=True)
+        self.values = values
+        self.net_class = net_class.astype(np.int64).reshape(-1)
+        self.order = np.argsort(self.net_class, kind="stable")
+        self.starts = np.searchsorted(self.net_class[self.order], np.arange(values.size))
+        self.class_list = self.net_class.tolist()
+        self._value_list = values.tolist()
+
+    def lane_counts(self, per_net: np.ndarray) -> np.ndarray:
+        """Sum ``(num_nets, lanes)`` integer counts into ``(num_classes, lanes)`` int64."""
+        return np.add.reduceat(per_net[self.order], self.starts, axis=0, dtype=np.int64)
+
+    def totals(self, per_net) -> np.ndarray:
+        """Sum ``(num_nets,)`` counts into per-class totals (exact integers)."""
+        return np.bincount(self.net_class, weights=per_net, minlength=self.values.size)
+
+    def lane_energies(self, counts: np.ndarray) -> np.ndarray:
+        """Switched capacitance per lane from ``(num_classes, lanes)`` counts.
+
+        ``cumsum`` along the class axis adds the products strictly in class
+        order, lane by lane — the same sequence of roundings as
+        :meth:`energy` performs for one lane.
+        """
+        return np.cumsum(self.values[:, None] * counts, axis=0)[-1]
+
+    def energy(self, counts) -> float:
+        """Switched capacitance of one set of per-class counts."""
+        if isinstance(counts, np.ndarray):
+            counts = counts.tolist()
+        total = 0.0
+        for value, count in zip(self._value_list, counts):
+            if count:
+                total += value * count
+        return total
+
+
 class CircuitProgram:
     """The canonical, width-independent lowering of one compiled circuit.
 
@@ -241,6 +304,7 @@ class CircuitProgram:
         self.key = key if key is not None else circuit_content_key(circuit)
         self._delay_schedules: dict = {}
         self._capacitances: dict = {}
+        self._capacitance_classes: dict = {}
         self._lower()
 
     # ------------------------------------------------------------------ build
@@ -496,6 +560,20 @@ class CircuitProgram:
             self._capacitances[capacitance_model] = values
             self._store_to_disk()
         return values
+
+    def capacitance_classes(
+        self, node_capacitance: Sequence[float] | np.ndarray | None
+    ) -> CapacitanceClasses:
+        """The :class:`CapacitanceClasses` of a per-net vector, memoized by value.
+
+        ``None`` means unit weights (toggle counting), as for the engines.
+        """
+        capacitance = node_capacitance_array(self, node_capacitance)
+        key = capacitance.tobytes()
+        classes = self._capacitance_classes.get(key)
+        if classes is None:
+            classes = self._capacitance_classes[key] = CapacitanceClasses(capacitance)
+        return classes
 
     # ----------------------------------------------------------- optimization
     def optimize(

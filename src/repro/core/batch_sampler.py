@@ -414,7 +414,9 @@ class BatchPowerSampler:
         for every chain; chain 0's sequence is returned because the runs test
         needs one temporally ordered series (samples interleaved *across*
         chains would be trivially independent and would bias the test toward
-        accepting too-short intervals).
+        accepting too-short intervals).  Only chain 0 is measured (the power
+        engine's ``measure_lane0``); each entry equals lane 0 of
+        :meth:`measure_cycle` on the same cycle.
         """
         if interval < 0:
             raise ValueError("interval must be non-negative")
@@ -425,7 +427,8 @@ class BatchPowerSampler:
         for _ in range(length):
             for _ in range(interval):
                 self._advance_one_cycle()
-            sequence.append(float(self.measure_cycle()[0]))
+            sequence.append(self._power.measure_lane0(self._engine, self._next_pattern()))
+            self.cycles_simulated += 1
         return sequence
 
     def next_samples(self, interval: int) -> np.ndarray:

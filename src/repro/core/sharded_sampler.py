@@ -12,10 +12,12 @@ single-process engine by construction:
 
 * The *parent* owns the run's single RNG and the stimulus.  It draws latch
   randomisations and input patterns in exactly the order the in-process
-  sampler would (one :meth:`~repro.stimulus.base.Stimulus.next_bits` call per
-  clock cycle, one ``integers(0, 2, size=num_chains)`` call per latch), then
-  scatters each worker its word-aligned lane slice.  Workers never draw
-  randomness; they consume parent-fed pattern words through a FIFO feed.
+  sampler would (the stream of one
+  :meth:`~repro.stimulus.base.Stimulus.next_pattern_words` call per clock
+  cycle, drawn in blocks, and one ``integers(0, 2, size=num_chains)`` call
+  per latch), then scatters each worker its word-aligned lane slice.
+  Workers never draw randomness; they consume parent-fed pattern words
+  through a FIFO feed.
   Chain *k* therefore sees the identical bit stream no matter how many
   workers exist — including ``num_workers=1`` and the in-process engine.
 * Workers produce their shard's ``sample_block`` concurrently; the parent
@@ -261,10 +263,10 @@ class _ShardSampler(BatchPowerSampler):
 
     The parent resolves both simulator backends at the *full* ensemble width
     and forces them on every shard (``backend`` and ``event_backend`` arrive
-    pre-resolved): a narrow shard must not drop to the big-int or scalar
-    engine, whose floating-point accumulation order differs from the
-    vectorized engines' — per-lane energies must come out of the same
-    arithmetic the in-process full-width sampler uses, bit for bit.
+    pre-resolved), so every shard runs the engines the in-process full-width
+    sampler runs.  Per-lane energies agree on any backend (they come from
+    integer per-class toggle counts); forcing the backends keeps the shard
+    snapshots in the full-width sampler's state format.
     """
 
     def __init__(
@@ -422,6 +424,23 @@ def _shard_worker_main(
         conn.close()
 
 
+def _seat_cpus(num_workers: int) -> list[int]:
+    """The CPUs local worker seats are pinned to, one each; empty for none.
+
+    Seats are pinned only when the pool fills every CPU this process may use
+    (``num_workers >= CPUs > 1``).  Then each CPU runs a worker anyway, and a
+    pinned worker starts on its own CPU instead of being queued on the waking
+    parent's.  A smaller pool stays unpinned, so the scheduler can spread
+    concurrent pools (batch-runner jobs, service workers) over the other CPUs.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return []
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2 or num_workers < len(cpus):
+        return []
+    return cpus
+
+
 class _ProcessShard:
     """Raw parent-side transport of one worker process (request/reply pipe).
 
@@ -433,7 +452,7 @@ class _ProcessShard:
 
     kind = "process"
 
-    def __init__(self, ctx, program, config, backend_request, fault_plan=None):
+    def __init__(self, ctx, program, config, backend_request, fault_plan=None, cpu=None):
         self._heartbeat = ctx.Value("Q", 0, lock=False)
         self.connection, child_conn = mp.Pipe()
         self.process = ctx.Process(
@@ -443,6 +462,15 @@ class _ProcessShard:
         )
         self.process.start()
         child_conn.close()
+        if cpu is not None:
+            # Pipe writes wake the reader "synchronously", which makes the
+            # scheduler queue every woken worker on the parent's CPU until
+            # load balancing moves it, milliseconds later.  Pinning seat i to
+            # its own CPU lets the workers of a round start together.
+            try:
+                os.sched_setaffinity(self.process.pid, {cpu})
+            except OSError:
+                pass
 
     @property
     def pid(self) -> int | None:
@@ -1006,6 +1034,7 @@ class ShardedPowerSampler(BatchPowerSampler):
             ctx = mp.get_context()
         program, config, backend = self.program, self.config, self._backend_request
         schedule = self._fault_schedule
+        cpus = _seat_cpus(self.num_workers)
         handles: list = []
         try:
             for index in range(self.num_workers):
@@ -1020,6 +1049,7 @@ class ShardedPowerSampler(BatchPowerSampler):
                             schedule.plan_for(index, incarnation)
                             if schedule is not None
                             else None,
+                            cpu=cpus[index % len(cpus)] if cpus else None,
                         ),
                     )
                 )
@@ -1054,9 +1084,8 @@ class ShardedPowerSampler(BatchPowerSampler):
         self._event_engine = None
         self._use_words = True
         # Backends are resolved at the FULL ensemble width and forced on all
-        # shards: a narrow shard falling back to the big-int or scalar engine
-        # would change the floating-point accumulation order of its lane
-        # energies and break the bit-identical merge.
+        # shards, so each shard runs (and snapshots) the engines of the
+        # equivalent in-process sampler.
         zd_backend = resolve_backend(self._backend_request, self.num_chains)
         event_backend = "scalar" if self.num_chains == 1 else "numpy"
         for handle, (_, width) in zip(self._handles, self._shards):
@@ -1211,14 +1240,14 @@ class ShardedPowerSampler(BatchPowerSampler):
         """Draw *cycles* input patterns from the run RNG and feed shard slices.
 
         Consumes the RNG stream exactly like *cycles* successive
-        ``stimulus.next_bits(rng, num_chains)`` calls (the in-process
-        sampler's draw order), then word-slices the packed block per shard.
+        ``stimulus.next_pattern_words(rng, num_chains)`` calls (the
+        in-process sampler's draw order), then word-slices the block per
+        shard.
         """
         active = self._active()
         for start in range(0, cycles, _FEED_CHUNK):
             chunk = min(_FEED_CHUNK, cycles - start)
-            bits = self.stimulus.next_bits_block(self.rng, self.num_chains, chunk)
-            words = bits_to_words(bits, self._num_words)
+            words = self.stimulus.next_words_block(self.rng, self.num_chains, chunk)
             for handle, _, _, _, word_offset, word_count in active:
                 shard_words = words[:, :, word_offset : word_offset + word_count]
                 handle.send("feed", np.ascontiguousarray(shard_words))

@@ -225,6 +225,9 @@ class _Member:
         self.pid = pid
         self.host = host
         self.last_seen = time.monotonic()
+        #: Set once the coordinator starts dropping the member: it is no
+        #: longer offered to seats, and a second drop is a no-op.
+        self.leaving = False
 
 
 class ShardCoordinator:
@@ -423,13 +426,11 @@ class ShardCoordinator:
 
     def _drop_member(self, member: _Member, reason: str) -> None:
         with self._lock:
-            if member not in self._pending:
+            if member.leaving or member not in self._pending:
                 return
-            self._pending.remove(member)
-        try:
-            member.sock.close()
-        except OSError:
-            pass
+            member.leaving = True
+        # Deliver the incident while the member still counts as pending, so
+        # an observer that sees pending_count() fall has already heard why.
         self._incident(
             {
                 "kind": "left",
@@ -439,6 +440,13 @@ class ShardCoordinator:
                 "reason": reason,
             }
         )
+        with self._lock:
+            if member in self._pending:  # close() may have emptied the registry
+                self._pending.remove(member)
+        try:
+            member.sock.close()
+        except OSError:
+            pass
 
     # -------------------------------------------------------------- sampler API
     def pending_count(self) -> int:
@@ -481,7 +489,7 @@ class ShardCoordinator:
         """
         deadline = time.monotonic() + timeout
         with self._joined:
-            while not self._pending:
+            while not (candidates := [m for m in self._pending if not m.leaving]):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or self._closed:
                     raise RuntimeError(
@@ -489,7 +497,7 @@ class ShardCoordinator:
                         f"(coordinator {self.address}, seat {seat_index})"
                     )
                 self._joined.wait(min(remaining, _SERVE_TICK))
-            member = min(self._pending, key=lambda m: m.epoch)
+            member = min(candidates, key=lambda m: m.epoch)
             self._pending.remove(member)
         shard = _SocketShard(
             member.sock,

@@ -414,6 +414,25 @@ class EstimationService:
         Raises :class:`InvalidJobError` on malformed payloads and
         :class:`ServiceFullError` when the pending queue is at capacity.
         """
+        record = self._accept(payload)
+        self._queue.put(record.id)
+        return record
+
+    def submit_snapshot(self, payload: Any) -> dict[str, Any]:
+        """Like :meth:`submit`, but return the job's snapshot as accepted.
+
+        The snapshot is taken before the job reaches the worker queue, so it
+        always reads ``queued``: a snapshot read after :meth:`submit` returns
+        may already show a short job finished.  This is the ``201`` body of
+        ``POST /jobs``.
+        """
+        record = self._accept(payload)
+        snapshot = record.snapshot()
+        self._queue.put(record.id)
+        return snapshot
+
+    def _accept(self, payload: Any) -> JobRecord:
+        """Validate, register, persist and announce a job; do not queue it."""
         spec = validate_job_payload(payload)
         max_retries = self.max_retries
         if isinstance(payload, dict) and "spec" in payload and "max_retries" in payload:
@@ -439,7 +458,6 @@ class EstimationService:
                 record, JobQueued, label=spec.label, queue_position=position
             ),
         )
-        self._queue.put(job_id)
         return record
 
     def _new_job_id(self) -> str:

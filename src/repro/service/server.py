@@ -307,10 +307,10 @@ class ServiceServer:
         try:
             # Validation resolves (and possibly parses) the circuit — run it
             # off the event loop so slow submissions never stall other clients.
-            record = await asyncio.to_thread(self.service.submit, payload)
+            snapshot = await asyncio.to_thread(self.service.submit_snapshot, payload)
         except tuple(_ERROR_STATUS) as error:
             raise _HttpError(_ERROR_STATUS[type(error)], str(error)) from None
-        await self._send_json(writer, 201, record.snapshot(), keep_alive)
+        await self._send_json(writer, 201, snapshot, keep_alive)
 
     async def _handle_list(self, writer, segments, query, body, keep_alive) -> None:
         records = self.service.jobs()

@@ -29,7 +29,10 @@ directory straight from the environment instead of importing
 :mod:`repro.circuits.program` (which imports the opcodes below — the import
 must stay one-directional).
 
-Both sweeps are exercised against each other in the test suite.
+The kernel also counts each cycle's toggles per (capacitance class, lane)
+(``class_lane_counts``); the vectorized engine's numpy fallback computes the
+same integers.  Both sweeps and both counts are exercised against each other
+in the test suite.
 """
 
 from __future__ import annotations
@@ -134,6 +137,35 @@ void ed_eval(const uint64_t *values, int64_t num_words,
         if (op & 4)
             for (int64_t w = 0; w < num_words; w++)
                 dst[w] = ~dst[w] & mask[w];
+    }
+}
+
+/* Per-(capacitance class, lane) toggle counts of one cycle.
+ *
+ * prev, cur : (num_rows, num_words) lane words before and after the cycle.
+ * row_class : class index of each row (see CapacitanceClasses).
+ * counts    : (num_classes, num_words * 64) matrix, zeroed by the caller;
+ *             a toggle of lane k in a row of class c adds one to
+ *             counts[c * num_words * 64 + k].  The set bits of every
+ *             transition word are walked with count-trailing-zeros.
+ */
+void class_lane_counts(const uint64_t *prev, const uint64_t *cur,
+                       int64_t num_rows, int64_t num_words,
+                       const int64_t *row_class, int64_t *counts)
+{
+    const int64_t stride = num_words * 64;
+    for (int64_t r = 0; r < num_rows; r++) {
+        int64_t *lanes = counts + row_class[r] * stride;
+        const uint64_t *a = prev + r * num_words;
+        const uint64_t *b = cur + r * num_words;
+        for (int64_t w = 0; w < num_words; w++) {
+            uint64_t x = a[w] ^ b[w];
+            int64_t *word_lanes = lanes + w * 64;
+            while (x) {
+                word_lanes[__builtin_ctzll(x)]++;
+                x &= x - 1;
+            }
+        }
     }
 }
 
@@ -373,6 +405,16 @@ def _compile_kernel() -> ctypes.CDLL | None:
     return library
 
 
+_COUNT_PROTOTYPE = ctypes.CFUNCTYPE(
+    None,
+    ctypes.c_void_p,  # prev
+    ctypes.c_void_p,  # cur
+    ctypes.c_int64,  # num_rows
+    ctypes.c_int64,  # num_words
+    ctypes.c_void_p,  # row_class
+    ctypes.c_void_p,  # counts
+)
+
 _SWEEP_PROTOTYPE = ctypes.CFUNCTYPE(
     None,
     ctypes.c_void_p,  # values
@@ -407,6 +449,28 @@ def bind_sweep(kernel, flat, num_words, num_gates, ops, out_rows, in_ptr, in_row
 
     def call() -> None:
         sweep(*arguments)
+
+    return call
+
+
+def bind_class_counts(kernel, prev, cur, num_rows, num_words, row_class, counts):
+    """Bind ``class_lane_counts`` to fixed buffers; return a 0-arg call.
+
+    The caller zeroes *counts* before each call and keeps every array alive
+    and unreallocated for the lifetime of the returned closure.
+    """
+    count = _COUNT_PROTOTYPE(("class_lane_counts", kernel))
+    arguments = (
+        prev.ctypes.data,
+        cur.ctypes.data,
+        num_rows,
+        num_words,
+        row_class.ctypes.data,
+        counts.ctypes.data,
+    )
+
+    def call() -> None:
+        count(*arguments)
 
     return call
 

@@ -30,10 +30,10 @@ The per-cycle algorithm (identical in both backends):
    the primary inputs take the new pattern; every net that changes seeds an
    event at tick 0.
 2. Events are processed one time point at a time.  When a net actually
-   changes value the transition is counted (capacitance-weighted) and the
-   gates it feeds are re-evaluated; their outputs are scheduled
-   ``delay(gate)`` later.  Zero-delay gates cascade within the same instant
-   in topological order.
+   changes value the transition is counted (per capacitance class, converted
+   to farads when the cycle ends) and the gates it feeds are re-evaluated;
+   their outputs are scheduled ``delay(gate)`` later.  Zero-delay gates
+   cascade within the same instant in topological order.
 3. The cycle ends when the event queue drains; because the combinational
    block is acyclic the queue always drains.
 """
@@ -135,10 +135,10 @@ class EventDrivenSimulator:
             )
             return
 
-        # Scalar-backend state.  The per-net capacitance stays exposed as an
-        # array; the event loop reads a cached list view (scalar indexing of
-        # numpy arrays would dominate the hot path).
-        self._cap_list: list[float] = self.node_capacitance.tolist()
+        # Scalar-backend state.  The event loop counts transitions per
+        # capacitance class and converts once per cycle, in the class order
+        # every engine shares.
+        self._classes = self.program.capacitance_classes(self.node_capacitance)
         self._values: list[int] = [0] * circuit.num_nets
         self._transition_counts: list[int] = [0] * circuit.num_nets
         self._cycles = 0
@@ -354,9 +354,9 @@ class EventDrivenSimulator:
             if self.values[pi_id] != bit:
                 schedule(0, pi_id, bit)
 
-        switched = 0.0
+        class_counts = [0] * self._classes.values.size
+        net_class = self._classes.class_list
         values = self.values
-        capacitance = self._cap_list
         counts = self._transition_counts
         fanout_gates = self.circuit.fanout_gates
         gates = self.circuit.gates
@@ -380,7 +380,7 @@ class EventDrivenSimulator:
                     continue
                 values[net_id] = value
                 counts[net_id] += 1
-                switched += capacitance[net_id]
+                class_counts[net_class[net_id]] += 1
                 affected.update(fanout_gates[net_id])
 
             # Gate indices are topological, and a gate's fanout always has a
@@ -400,7 +400,7 @@ class EventDrivenSimulator:
                     if values[gate.output] != new_output:
                         values[gate.output] = new_output
                         counts[gate.output] += 1
-                        switched += capacitance[gate.output]
+                        class_counts[net_class[gate.output]] += 1
                         for successor in fanout_gates[gate.output]:
                             if successor not in queued:
                                 heapq.heappush(worklist, successor)
@@ -409,7 +409,7 @@ class EventDrivenSimulator:
                     schedule(current_tick + delay, gate.output, new_output)
 
         self.cycles_simulated += 1
-        return switched
+        return self._classes.energy(class_counts)
 
     def cycle_lanes(self, pattern) -> np.ndarray:
         """Simulate one clock cycle; return each lane's switched capacitance.

@@ -22,6 +22,10 @@ The returned engine exposes:
   per-lane switched capacitance, shape ``(width,)``;
 * ``measure_total(state_engine, pattern) -> float`` — same cycle, lane-summed
   (cheaper when per-chain resolution is not needed);
+* ``measure_lane0(state_engine, pattern) -> float`` — same cycle, advancing
+  every lane but measuring lane 0 only; must equal entry 0 of
+  ``measure_lanes`` exactly.  Interval selection reads one ordered sequence
+  (chain 0's), so this is all the runs test pays for at any width;
 * ``measure_lanes_with_control(state_engine, pattern) -> (np.ndarray,
   np.ndarray)`` *(optional)* — same cycle measured by **both** this engine
   and the cheap zero-delay state engine on identical lanes; the second array
@@ -35,7 +39,9 @@ the zero-delay engine measures the functional transitions of the state
 engine's own sweep; the event-driven engine re-simulates the sampled cycle
 with general delays (glitches included) from the state engine's settled
 network, then advances the state engine identically so both agree on the
-next present state.
+next present state.  Every energy comes from integer toggle counts per
+capacitance class (:class:`~repro.circuits.program.CapacitanceClasses`), so
+a lane measured alone equals the same lane measured in any ensemble.
 """
 
 from __future__ import annotations
@@ -86,6 +92,10 @@ class ZeroDelayPowerEngine:
     def measure_total(self, state_engine, pattern) -> float:
         return state_engine.step_and_measure(pattern)
 
+    def measure_lane0(self, state_engine, pattern) -> float:
+        # One bit column of the transition words.
+        return state_engine.step_and_measure_lane0(pattern)
+
     def measure_lanes_with_control(self, state_engine, pattern) -> tuple[np.ndarray, np.ndarray]:
         # The zero-delay measurement *is* the control here: the pair is
         # degenerate (identical arrays), which the control-variate estimator
@@ -122,6 +132,7 @@ class EventDrivenPowerEngine:
             width=width,
             backend=backend,
         )
+        self._lane0_engine = self.engine if self.engine.backend == "scalar" else None
 
     def _settled_state(self, state_engine):
         """The state engine's settled network, in the cheapest shared form."""
@@ -144,6 +155,27 @@ class EventDrivenPowerEngine:
     def measure_total(self, state_engine, pattern) -> float:
         self.engine.load_settled_state(self._settled_state(state_engine))
         switched = self.engine.cycle(pattern)
+        state_engine.step(pattern)
+        return switched
+
+    def measure_lane0(self, state_engine, pattern) -> float:
+        # Re-simulate chain 0 alone on a width-1 scalar engine (the engine
+        # single-chain glitch runs use) while the state engine steps the
+        # whole ensemble; class-count energies make it equal lane 0 of
+        # measure_lanes bit for bit.
+        if self._lane0_engine is None:
+            engine = self.engine
+            self._lane0_engine = EventDrivenSimulator(
+                self.program,
+                delay_model=engine.delay_model,
+                node_capacitance=engine.node_capacitance,
+                backend="scalar",
+            )
+        self._lane0_engine.load_settled_state(state_engine.lane_values(0))
+        # The scalar engine reads bit 0 of each entry: lane 0 of packed ints
+        # and of the first pattern word alike.
+        lane0 = pattern[:, 0].tolist() if isinstance(pattern, np.ndarray) else pattern
+        switched = self._lane0_engine.cycle(lane0)
         state_engine.step(pattern)
         return switched
 

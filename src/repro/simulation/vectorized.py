@@ -21,10 +21,16 @@ Three sweep strategies share the same word tables:
   generated *for this specific circuit* with every gate a literal expression,
   removing even the generic kernel's per-gate opcode dispatch and CSR gather.
 
-Transition counting uses ``np.bitwise_count`` over the XOR of consecutive
-settled states, either aggregated over all lanes (:meth:`step_and_measure`)
-or resolved per lane (:meth:`step_and_measure_lanes`) for the multi-chain
-sampler, which needs one power sample per chain.
+Transition counting compares consecutive settled states and counts toggles
+per capacitance class (:class:`~repro.circuits.program.CapacitanceClasses`):
+summed over lanes (:meth:`step_and_measure`), per lane
+(:meth:`step_and_measure_lanes`, one power sample per chain for the
+multi-chain sampler) or for lane 0 alone (:meth:`step_and_measure_lane0`,
+the runs-test sequence of interval selection).  Per-lane counts come from
+the native kernel's count-trailing-zeros walk over the transition words, or
+from ``np.unpackbits`` without it; lane-summed counts from
+``np.bitwise_count``.  Either way the energies come from one shared
+class-order conversion, so every lane's value is exact whatever the width.
 
 Input patterns are accepted either in the lane-packed integer form used by
 the big-int backend, or as ``(num_inputs, num_words)`` uint64 word arrays
@@ -60,6 +66,8 @@ __all__ = [
     "unpack_words_to_int",
     "words_per_width",
 ]
+
+_LANE0 = np.uint64(1)
 
 _REDUCERS = {
     _native.OP_AND: np.bitwise_and,
@@ -130,7 +138,7 @@ class VectorizedZeroDelaySimulator:
                     f"({circuit.num_nets}), got {len(node_capacitance)}"
                 )
             self.node_capacitance = [float(value) for value in node_capacitance]
-        self._caps = np.asarray(self.node_capacitance, dtype=np.float64)
+        self._classes = self.program.capacitance_classes(self.node_capacitance)
         self._mask_words = lane_mask_words(width)
         self._partial_last_word = bool(width % 64)
 
@@ -172,8 +180,9 @@ class VectorizedZeroDelaySimulator:
         self._groups = self._build_groups() if self._native_call is None else None
         self._prev = np.empty_like(self.words)
         self._diff = np.empty_like(self.words)
-        self._toggle_words = np.empty_like(self.words, dtype=np.uint8)
-        self._toggles = np.empty(num_nets, dtype=np.float64)
+        self._count_lanes = None
+        if self._native_call is not None:
+            self._bind_native_counts()
 
         self._settled = False
         self.cycles_simulated = 0
@@ -229,6 +238,23 @@ class VectorizedZeroDelaySimulator:
             int(program.num_sweep_gates),
             *self._native_arrays,
             self._mask_words,
+        )
+
+    def _bind_native_counts(self) -> None:
+        """Count per-lane class toggles in the generic kernel (any sweep but "groups")."""
+        kernel = _native.load_kernel()
+        if kernel is None:
+            return
+        words = int(self.num_words)
+        self._lane_buffer = np.zeros((self._classes.values.size, words * 64), dtype=np.int64)
+        self._count_lanes = _native.bind_class_counts(
+            kernel,
+            self._prev,
+            self.words,
+            self.circuit.num_nets,
+            words,
+            self._classes.net_class,
+            self._lane_buffer,
         )
 
     # ----------------------------------------------------------------- state
@@ -397,23 +423,21 @@ class VectorizedZeroDelaySimulator:
         self.evaluate()
         self.cycles_simulated += 1
 
-    def _advance_and_diff(self, pattern) -> np.ndarray:
+    def _advance(self, pattern) -> None:
+        """Advance one cycle, keeping the previous settled words in ``_prev``."""
         if not self._settled:
             self.evaluate()
         np.copyto(self._prev, self.words)
-        self.clock()
-        self.apply_inputs(pattern)
-        self.evaluate()
-        self.cycles_simulated += 1
-        np.bitwise_xor(self._prev, self.words, out=self._diff)
-        return self._diff
+        self.step(pattern)
+
+    def _diff_words(self) -> np.ndarray:
+        return np.bitwise_xor(self._prev, self.words, out=self._diff)
 
     def step_and_measure(self, pattern) -> float:
         """Advance one clock cycle and return the lane-summed switched capacitance."""
-        diff = self._advance_and_diff(pattern)
-        np.bitwise_count(diff, out=self._toggle_words)
-        self._toggle_words.sum(axis=1, dtype=np.float64, out=self._toggles)
-        return float(self._caps @ self._toggles)
+        self._advance(pattern)
+        toggles = np.bitwise_count(self._diff_words()).sum(axis=1)
+        return self._classes.energy(self._classes.totals(toggles))
 
     def step_and_measure_lanes(self, pattern) -> np.ndarray:
         """Advance one clock cycle; return the switched capacitance of every lane.
@@ -422,18 +446,38 @@ class VectorizedZeroDelaySimulator:
         is built on: one gate sweep yields ``width`` independent power
         observations.
         """
-        diff = self._advance_and_diff(pattern)
-        bits = np.unpackbits(
-            diff.view(np.uint8).reshape(self.circuit.num_nets, -1),
-            axis=1,
-            bitorder="little",
-        )[:, : self.width]
-        return self._caps @ bits
+        self._advance(pattern)
+        if self._count_lanes is not None:
+            self._lane_buffer.fill(0)
+            self._count_lanes()
+            counts = self._lane_buffer[:, : self.width]
+        else:
+            bits = np.unpackbits(
+                self._diff_words().view(np.uint8).reshape(self.circuit.num_nets, -1),
+                axis=1,
+                bitorder="little",
+            )[:, : self.width]
+            counts = self._classes.lane_counts(bits)
+        return self._classes.lane_energies(counts)
+
+    def step_and_measure_lane0(self, pattern) -> float:
+        """Advance one clock cycle; return lane 0's switched capacitance.
+
+        Reads only bit 0 of each net's first transition word, so the cost
+        does not grow with the width.  Equal to entry 0 of
+        :meth:`step_and_measure_lanes` for the same cycle.
+        """
+        if not self._settled:
+            self.evaluate()
+        before = self.words[:, 0] & _LANE0
+        self.step(pattern)
+        toggled = (self.words[:, 0] & _LANE0) ^ before
+        return self._classes.energy(self._classes.totals(toggled))
 
     def step_and_count(self, pattern) -> list[int]:
         """Advance one cycle and return the per-net toggle count (summed over lanes)."""
-        diff = self._advance_and_diff(pattern)
-        return [int(count) for count in np.bitwise_count(diff).sum(axis=1)]
+        self._advance(pattern)
+        return [int(count) for count in np.bitwise_count(self._diff_words()).sum(axis=1)]
 
     # --------------------------------------------------------------- sequences
     def run(self, patterns: Sequence, measure: bool = True) -> list[float]:

@@ -40,14 +40,18 @@ Two refinements ride on that invariant:
   lanes, so wide ensembles skip most of the value words of late instants.
   Disable with ``wavefront_compaction=False`` (the engine then always
   processes every word, as before) — results are bit-identical either way.
-* **Order-independent lane energies**: per-lane switched capacitance is
-  accumulated as *integer* transition counts per ``(net, lane)`` during the
-  cycle and converted to energy with a single ``capacitance @ counts``
-  matmul when the cycle ends.  Integer accumulation is exact in any order,
-  and the final reduction always runs over the full net axis, so a lane's
-  energy does not depend on which other lanes share the engine — the
-  property that lets the process-sharded sampler split an ensemble across
-  engine instances and merge per-lane samples bit-identically.
+* **Exact lane energies**: transitions are counted as *integers* per
+  ``(net, lane)`` during the cycle, summed per capacitance class when it
+  ends, and converted to farads by
+  :meth:`~repro.circuits.program.CapacitanceClasses.lane_energies`, which
+  adds the class products in one fixed order, lane by lane.  (A float
+  ``capacitance @ counts`` product is not enough: a BLAS ``gemv`` rounds
+  each column differently depending on how many columns share the call.)
+  So a lane's energy depends only on its own transitions — not on the
+  event order, the width, or which other lanes share the engine — and it
+  equals the scalar engine's value bit for bit.  That is what lets the
+  process-sharded sampler split an ensemble across engine instances, and
+  interval selection measure lane 0 alone, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -117,7 +121,7 @@ class VectorizedEventDrivenSimulator:
         self.gate_delays = list(schedule.delays)
         self.tick = schedule.tick
         self.node_capacitance = node_capacitance_array(self.program, node_capacitance)
-        self._caps = self.node_capacitance
+        self._classes = self.program.capacitance_classes(self.node_capacitance)
         self._mask_words = lane_mask_words(width)
         self._partial_last_word = bool(width % 64)
 
@@ -632,6 +636,14 @@ class VectorizedEventDrivenSimulator:
         the capacitance-weighted transition count of chain *k*, glitches
         included.
         """
+        return self._classes.lane_energies(self._cycle_class_counts(pattern))
+
+    def cycle(self, pattern) -> float:
+        """Simulate one clock cycle; return the switched capacitance summed over lanes."""
+        return self._classes.energy(self._cycle_class_counts(pattern).sum(axis=1))
+
+    def _cycle_class_counts(self, pattern) -> np.ndarray:
+        """Run one cycle; return its ``(num_classes, width)`` transition counts."""
         pattern_words = self._pattern_words(pattern)
         if not self._settled:
             self._full_sweep()
@@ -654,18 +666,11 @@ class VectorizedEventDrivenSimulator:
             self._run_instant(heapq.heappop(self._times))
 
         self.cycles_simulated += 1
-        # One fixed-shape reduction over the full net axis converts the exact
-        # integer transition counts to energies: a lane's value is independent
-        # of event order and of which other lanes share this engine.
-        energy = self._caps @ self._lane_counts
+        counts = self._classes.lane_counts(self._lane_counts)
         for touched in self._touched_rows:
             self._lane_counts[touched] = 0
         self._touched_rows.clear()
-        return energy
-
-    def cycle(self, pattern) -> float:
-        """Simulate one clock cycle; return the switched capacitance summed over lanes."""
-        return float(self.cycle_lanes(pattern).sum())
+        return counts
 
     def run(self, patterns: Sequence) -> list[float]:
         """Simulate one cycle per pattern; return per-cycle lane-summed energies."""

@@ -29,7 +29,10 @@ Power accounting follows the zero-delay convention: the energy of clock cycle
 *t* is proportional to the capacitance-weighted number of nets whose settled
 value differs between cycle *t-1* and cycle *t* (Eq. (1) of the paper with
 ``n_i`` restricted to functional transitions; the event-driven simulator adds
-glitch transitions).
+glitch transitions).  Both backends count those transitions per capacitance
+class in integers and share one conversion to farads
+(:class:`~repro.circuits.program.CapacitanceClasses`), so their energies are
+identical, lane for lane.
 """
 
 from __future__ import annotations
@@ -138,10 +141,8 @@ class ZeroDelaySimulator:
                     "node_capacitance must have one entry per net "
                     f"({circuit.num_nets}), got {len(node_capacitance)}"
                 )
-            # Plain Python floats: the big-int loop accumulates per-net
-            # products in scalar arithmetic, and the shared program
-            # capacitance vectors arrive as numpy float64.
             self.node_capacitance = [float(value) for value in node_capacitance]
+        self._classes = self.program.capacitance_classes(self.node_capacitance)
         self._values: list[int] = [0] * circuit.num_nets
         self._settled = False
         self._cycles = 0
@@ -305,6 +306,17 @@ class ZeroDelaySimulator:
             return self._vec.net_value(name, lane)
         return (self._values[self.circuit.net_id(name)] >> lane) & 1
 
+    def lane_values(self, lane: int = 0) -> list[int]:
+        """The value (0/1) of every net in one *lane*, in net order.
+
+        Lets a width-1 engine adopt one chain of the ensemble (the
+        event-driven power engine's lane-0 measurement).
+        """
+        if self._vec is not None:
+            word, bit = divmod(lane, 64)
+            return ((self._vec.words[:, word] >> np.uint64(bit)) & np.uint64(1)).tolist()
+        return [(value >> lane) & 1 for value in self._values]
+
     # ------------------------------------------------------------- evaluation
     def apply_inputs(self, pattern) -> None:
         """Drive the primary inputs with lane-packed *pattern* values.
@@ -402,6 +414,14 @@ class ZeroDelaySimulator:
         self.evaluate()
         self._cycles += 1
 
+    def _advance(self, pattern) -> list[int]:
+        """Advance one clock cycle (big-int backend); return the previous net values."""
+        if not self._settled:
+            self.evaluate()
+        previous = list(self._values)
+        self.step(pattern)
+        return previous
+
     def step_and_measure(self, pattern) -> float:
         """Advance one clock cycle and return the lane-summed switched capacitance.
 
@@ -411,70 +431,59 @@ class ZeroDelaySimulator:
         """
         if self._vec is not None:
             return self._vec.step_and_measure(pattern)
-        if not self._settled:
-            self.evaluate()
-        previous = list(self._values)
-        self.clock()
-        self.apply_inputs(pattern)
-        self.evaluate()
-        self._cycles += 1
-
-        switched = 0.0
-        values = self._values
-        capacitance = self.node_capacitance
-        for net_id in range(self.circuit.num_nets):
-            diff = previous[net_id] ^ values[net_id]
-            if diff:
-                switched += capacitance[net_id] * diff.bit_count()
-        return switched
+        previous = self._advance(pattern)
+        counts = [0] * self._classes.values.size
+        for net_class, before, after in zip(self._classes.class_list, previous, self._values):
+            if before != after:
+                counts[net_class] += (before ^ after).bit_count()
+        return self._classes.energy(counts)
 
     def step_and_measure_lanes(self, pattern) -> np.ndarray:
         """Advance one clock cycle; return the switched capacitance of every lane.
 
         One gate sweep yields ``width`` independent per-chain power
         observations — the primitive the multi-chain Monte Carlo sampler is
-        built on.  The numpy backend resolves lanes with vectorized popcounts;
-        this big-int implementation walks the set bits of every net's
-        transition word and exists mainly so narrow ensembles and equivalence
-        tests can use either backend.
+        built on.  The numpy backend counts lanes in its native kernel; this
+        big-int implementation unpacks every net's transition word to lane
+        bits and exists mainly so narrow ensembles and equivalence tests can
+        use either backend.
         """
         if self._vec is not None:
             return self._vec.step_and_measure_lanes(pattern)
-        if not self._settled:
-            self.evaluate()
-        previous = list(self._values)
-        self.clock()
-        self.apply_inputs(pattern)
-        self.evaluate()
-        self._cycles += 1
+        previous = self._advance(pattern)
+        num_bytes = (self.width + 7) // 8
+        raw = b"".join(
+            (before ^ after).to_bytes(num_bytes, "little")
+            for before, after in zip(previous, self._values)
+        )
+        bits = np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8).reshape(self.circuit.num_nets, num_bytes),
+            axis=1,
+            bitorder="little",
+        )[:, : self.width]
+        return self._classes.lane_energies(self._classes.lane_counts(bits))
 
-        switched = np.zeros(self.width, dtype=np.float64)
-        values = self._values
-        capacitance = self.node_capacitance
-        for net_id in range(self.circuit.num_nets):
-            diff = previous[net_id] ^ values[net_id]
-            cap = capacitance[net_id]
-            while diff:
-                low = diff & -diff
-                switched[low.bit_length() - 1] += cap
-                diff ^= low
-        return switched
+    def step_and_measure_lane0(self, pattern) -> float:
+        """Advance one clock cycle; return lane 0's switched capacitance.
+
+        Equal to entry 0 of :meth:`step_and_measure_lanes` for the same
+        cycle; only bit 0 of each transition word is read.
+        """
+        if self._vec is not None:
+            return self._vec.step_and_measure_lane0(pattern)
+        previous = self._advance(pattern)
+        counts = [0] * self._classes.values.size
+        for net_class, before, after in zip(self._classes.class_list, previous, self._values):
+            if (before ^ after) & 1:
+                counts[net_class] += 1
+        return self._classes.energy(counts)
 
     def step_and_count(self, pattern) -> list[int]:
         """Advance one cycle and return the per-net toggle count (summed over lanes)."""
         if self._vec is not None:
             return self._vec.step_and_count(pattern)
-        if not self._settled:
-            self.evaluate()
-        previous = list(self._values)
-        self.clock()
-        self.apply_inputs(pattern)
-        self.evaluate()
-        self._cycles += 1
-        return [
-            (previous[net_id] ^ self._values[net_id]).bit_count()
-            for net_id in range(self.circuit.num_nets)
-        ]
+        previous = self._advance(pattern)
+        return [(before ^ after).bit_count() for before, after in zip(previous, self._values)]
 
     # --------------------------------------------------------------- sequences
     def run(self, patterns: Sequence, measure: bool = True) -> list[float]:

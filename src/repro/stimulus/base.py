@@ -16,6 +16,11 @@ All three draw exactly the same random variates for a given ``(rng, width)``,
 so simulations are reproducible from one seed regardless of which simulator
 backend consumes the stimulus.  Single-chain simulation simply uses
 ``width=1``.
+
+The packed encodings derive from :meth:`Stimulus.next_words_block`, whose
+default packs :meth:`Stimulus.next_bits_block`.  A stimulus that can draw
+lane words natively (the fair Bernoulli stimulus) overrides that one method
+and derives its bit matrices from the words instead.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.utils.bitpack import bits_to_words, words_per_width
+from repro.utils.bitpack import bits_to_words, unpack_words_to_int, words_per_width
 
 
 def pack_lane_bits(bits: np.ndarray) -> int:
@@ -57,10 +62,11 @@ class Stimulus(ABC):
     """Base class for input-pattern generators.
 
     Subclasses implement :meth:`next_bits`, producing one bit matrix per
-    clock cycle; the packed encodings are derived from it.  Subclasses may
-    keep per-lane state (e.g. Markov chains); :meth:`reset` must return the
-    generator to its initial condition so repeated estimation runs are
-    statistically independent given independent RNG streams.
+    clock cycle; the packed encodings are derived from it (through
+    :meth:`next_words_block`).  Subclasses may keep per-lane state (e.g.
+    Markov chains); :meth:`reset` must return the generator to its initial
+    condition so repeated estimation runs are statistically independent
+    given independent RNG streams.
     """
 
     #: ``True`` for generators that deliberately correlate the simulation
@@ -93,17 +99,32 @@ class Stimulus(ABC):
             raise ValueError("cycles must be non-negative")
         if cycles == 0:
             return np.zeros((0, self.num_inputs, width), dtype=np.uint8)
+        if cycles == 1:
+            return self.next_bits(rng, width)[None]
         return np.stack([self.next_bits(rng, width) for _ in range(cycles)])
+
+    def next_words_block(
+        self, rng: np.random.Generator, width: int = 1, cycles: int = 1
+    ) -> np.ndarray:
+        """Return the next *cycles* patterns as ``(cycles, num_inputs, num_words)`` uint64.
+
+        Lane *k* of input *i* in cycle *t* is bit ``k % 64`` of
+        ``[t, i, k // 64]``; lanes at and beyond *width* are zero.  Consumes
+        the RNG stream exactly like *cycles* successive :meth:`next_bits`
+        calls.  The sharded sampler's parent slices this block per shard.
+        """
+        return bits_to_words(self.next_bits_block(rng, width, cycles), words_per_width(width))
 
     def next_pattern(self, rng: np.random.Generator, width: int = 1) -> list[int]:
         """Return the next pattern: one lane-packed integer per primary input."""
-        if self.num_inputs == 0:
-            return []
-        return pack_bit_matrix(self.next_bits(rng, width))
+        words = self.next_words_block(rng, width, 1)[0]
+        if words.shape[1] == 1:
+            return words[:, 0].tolist()
+        return [unpack_words_to_int(row) for row in words]
 
     def next_pattern_words(self, rng: np.random.Generator, width: int = 1) -> np.ndarray:
         """Return the next pattern as a ``(num_inputs, num_words)`` uint64 word array."""
-        return pack_bit_matrix_words(self.next_bits(rng, width))
+        return self.next_words_block(rng, width, 1)[0]
 
     def reset(self) -> None:
         """Forget any internal state (default: stateless, nothing to do)."""

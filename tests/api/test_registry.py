@@ -161,6 +161,10 @@ class TestSimulatorRegistry:
             def measure_total(self, state_engine, pattern):
                 return float(self.measure_lanes(state_engine, pattern).sum())
 
+            def measure_lane0(self, state_engine, pattern):
+                state_engine.step(pattern)
+                return 1.0
+
         register_simulator("constant-test", ConstantPower)
         try:
             config = EstimationConfig(power_simulator="constant-test", num_chains=4)
@@ -170,6 +174,7 @@ class TestSimulatorRegistry:
             )
             samples = sampler.next_samples(interval=1)
             assert samples.tolist() == [1.0, 1.0, 1.0, 1.0]
+            assert sampler.collect_sequence(interval=1, length=3) == [1.0, 1.0, 1.0]
         finally:
             # Plain deletion: monkeypatch would restore the entry at teardown
             # and leak the test engine into the session-wide registry.

@@ -84,6 +84,54 @@ class TestMergeEquivalence:
             assert np.array_equal(reference.next_samples(1), sharded.next_samples(1))
             assert reference.cycles_simulated == sharded.cycles_simulated
 
+    @pytest.mark.parametrize("seed", (1, 2, 3, 4))
+    @pytest.mark.parametrize("power_simulator", ("zero-delay", "event-driven"))
+    @pytest.mark.parametrize("circuit_name", ("s298", "s1494"))
+    def test_unaligned_width_bit_identical(self, circuit_name, power_simulator, seed):
+        """130 chains on 2 workers: shard 1 holds two lanes, yet every lane is exact.
+
+        Lane energies come from integer per-class toggle counts, so a lane's
+        float cannot depend on how many lanes share its engine.
+        """
+        from repro.circuits.iscas89 import build_circuit
+
+        config = EstimationConfig(warmup_cycles=8, power_simulator=power_simulator)
+        reference, sharded = _pair(build_circuit(circuit_name), 130, 2, config=config, rng=seed)
+        with sharded:
+            assert np.array_equal(
+                reference.sample_block(1, 20 * 130), sharded.sample_block(1, 20 * 130)
+            )
+
+    @pytest.mark.parametrize("sharded", (False, True), ids=("in-process", "sharded"))
+    @pytest.mark.parametrize("power_simulator", ("zero-delay", "event-driven"))
+    def test_collect_sequence_is_lane_zero_of_measure_cycle(
+        self, s298_circuit, power_simulator, sharded
+    ):
+        """The runs-test sequence equals lane 0 of the same cycles measured in full."""
+        config = EstimationConfig(warmup_cycles=8, power_simulator=power_simulator)
+
+        def make():
+            stimulus = BernoulliStimulus(s298_circuit.num_inputs, 0.5)
+            if sharded:
+                return ShardedPowerSampler(
+                    s298_circuit, stimulus, config, rng=5, num_chains=130, num_workers=2
+                )
+            return BatchPowerSampler(s298_circuit, stimulus, config, rng=5, num_chains=130)
+
+        lane0, full = make(), make()
+        try:
+            sequence = lane0.collect_sequence(2, 12)
+            expected = []
+            for _ in range(12):
+                full.advance(2)
+                expected.append(float(full.measure_cycle()[0]))
+            assert sequence == expected
+            assert lane0.cycles_simulated == full.cycles_simulated
+        finally:
+            if sharded:
+                lane0.close()
+                full.close()
+
     def test_serial_pool_matches_processes(self, s298_circuit):
         reference, serial = _pair(s298_circuit, 128, 2, start_method="serial")
         with serial:
@@ -487,6 +535,27 @@ class TestPoolComposition:
             parallel.results[1].estimate.samples_switched_capacitance_f
             == serial.results[0].estimate.samples_switched_capacitance_f
         )
+
+
+    @pytest.mark.parametrize(
+        "allowed, workers, pinned",
+        [
+            ({0, 1}, 2, [0, 1]),
+            ({2, 5}, 3, [2, 5]),
+            ({0, 1, 2, 3}, 2, []),
+            ({0}, 2, []),
+        ],
+    )
+    def test_seats_pinned_only_when_the_pool_fills_the_cpus(
+        self, monkeypatch, allowed, workers, pinned
+    ):
+        """Concurrent pools smaller than the CPU set stay unpinned, so they spread out."""
+        from repro.core import sharded_sampler
+
+        monkeypatch.setattr(
+            sharded_sampler.os, "sched_getaffinity", lambda pid: allowed, raising=False
+        )
+        assert sharded_sampler._seat_cpus(workers) == pinned
 
 
 class TestPartitionDegenerateCases:

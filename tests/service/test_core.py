@@ -67,6 +67,18 @@ class TestLifecycle:
             assert record.status == "completed"
             assert _canon(record.result_payload) == _canon(run_job(spec).to_dict())
 
+    def test_submit_snapshot_reads_queued_even_after_the_job_finished(self):
+        spec = JobSpec(circuit="s27", config=TINY, seed=5, label="accepted")
+        with EstimationService(num_workers=1) as service:
+            snapshot = service.submit_snapshot(spec.to_dict())
+            record = service.get(snapshot["id"])
+            assert record.wait_finished(timeout=60)
+        assert record.status == "completed"
+        assert snapshot["status"] == "queued"
+        assert snapshot["label"] == "accepted"
+        assert snapshot["num_events"] == 1
+        assert snapshot["started_at"] is None and snapshot["finished_at"] is None
+
     def test_event_log_contiguous_and_bracketed(self):
         with EstimationService(num_workers=1) as service:
             record = service.submit(JobSpec(circuit="s27", config=TINY, seed=3).to_dict())

@@ -105,10 +105,9 @@ def test_per_lane_results_match_width_one_runs(name, program, caps, width):
             latch_bits[:, lane : lane + 1],
             input_bits[:, :, lane : lane + 1],
         )
-        # Energies are capacitance-weighted transition counts; the engines
-        # guarantee identical *counts* but may legally reduce the weighted
-        # sum in different orders, hence approx at float64 resolution.
-        np.testing.assert_allclose(energies[:, lane], ref_energy[:, 0], rtol=1e-12)
+        # Energies come from integer per-class toggle counts converted in one
+        # fixed class order, so a lane's float is independent of the width.
+        np.testing.assert_array_equal(energies[:, lane], ref_energy[:, 0])
         assert states[lane] == ref_state[0], f"latch state diverged in lane {lane}"
 
 

@@ -107,3 +107,77 @@ class TestNextBitsBlock:
         assert empty.next_bits_block(rng, 8, 4).shape == (4, 0, 8)
         with pytest.raises(ValueError):
             stimulus.next_bits_block(rng, 8, -1)
+
+
+class TestFairWordStream:
+    """Bernoulli(0.5) draws raw 64-bit words; every encoding derives from that draw."""
+
+    WIDTHS = (1, 63, 64, 65, 130, 256)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_every_encoding_reads_one_stream(self, width):
+        from repro.utils.bitpack import bits_to_words, pack_int_to_words, words_per_width
+
+        stimulus = BernoulliStimulus(5, 0.5)
+        cycles = 3
+        num_words = words_per_width(width)
+        block = stimulus.next_words_block(np.random.default_rng(9), width, cycles)
+        assert block.shape == (cycles, 5, num_words) and block.dtype == np.uint64
+        # Whole generator words, the unused lanes of the last word zeroed.
+        raw = np.random.default_rng(9).bit_generator.random_raw(cycles * 5 * num_words)
+        raw = raw.reshape(cycles, 5, num_words)
+        tail = width % 64
+        if tail:
+            assert np.any(raw[..., -1] >> np.uint64(tail))
+            raw[..., -1] &= np.uint64((1 << tail) - 1)
+        assert np.array_equal(block, raw)
+
+        def draws(method):
+            rng = np.random.default_rng(9)
+            return [method(rng) for _ in range(cycles)]
+
+        words = draws(lambda rng: stimulus.next_pattern_words(rng, width))
+        bits = draws(lambda rng: stimulus.next_bits(rng, width))
+        ints = draws(lambda rng: stimulus.next_pattern(rng, width))
+        bits_block = stimulus.next_bits_block(np.random.default_rng(9), width, cycles)
+        for cycle in range(cycles):
+            assert np.array_equal(words[cycle], block[cycle])
+            assert np.array_equal(bits_to_words(bits[cycle], num_words), block[cycle])
+            assert np.array_equal(bits_to_words(bits_block[cycle], num_words), block[cycle])
+            assert np.array_equal(
+                np.stack([pack_int_to_words(value, num_words) for value in ints[cycle]]),
+                block[cycle],
+            )
+
+    def test_sharded_parent_block_matches_in_process_draws(self):
+        """The sharded parent's block draw is the in-process per-cycle stream."""
+        stimulus = BernoulliStimulus(7, 0.5)
+        block = stimulus.next_words_block(np.random.default_rng(4), 130, 10)
+        rng = np.random.default_rng(4)
+        looped = np.stack([stimulus.next_pattern_words(rng, 130) for _ in range(10)])
+        assert np.array_equal(block, looped)
+
+    def test_raw_words_are_fair(self):
+        bits = BernoulliStimulus(8, 0.5).next_bits_block(np.random.default_rng(1), 256, 40)
+        assert bits.mean() == pytest.approx(0.5, abs=0.01)
+
+    def test_32_bit_generator_fills_whole_words(self):
+        rng = np.random.Generator(np.random.MT19937(3))
+        words = BernoulliStimulus(4, 0.5).next_words_block(rng, 64, 50)
+        assert np.any(words >> np.uint64(32))
+
+
+class TestBiasedStreamUnchanged:
+    """Any p other than 0.5 keeps the float-variate stream ``rng.random(shape) < p``."""
+
+    @pytest.mark.parametrize("probabilities", (0.3, [0.1, 0.5, 0.9]))
+    @pytest.mark.parametrize("width", (1, 65, 130))
+    def test_stream_is_uniform_threshold(self, probabilities, width):
+        stimulus = BernoulliStimulus(3, probabilities)
+        p = np.broadcast_to(np.asarray(probabilities, dtype=float), (3,))
+        expected = np.random.default_rng(6).random((4, 3, width)) < p[None, :, None]
+        rng = np.random.default_rng(6)
+        looped = np.stack([stimulus.next_bits(rng, width) for _ in range(4)])
+        assert np.array_equal(looped, expected)
+        block = stimulus.next_bits_block(np.random.default_rng(6), width, 4)
+        assert np.array_equal(block, expected)
