@@ -93,63 +93,6 @@ def _measure(circuit) -> tuple[float, float]:
     return scalar, vectorized
 
 
-#: Wavefront compaction only arms on ensembles of >= 8 value words (512+
-#: lanes), so its measurement runs wider than the backend comparison above.
-_COMPACTION_WIDTH = 512
-
-
-def _compaction_rate(circuit, compact: bool, sweeps: int = 8) -> float:
-    """Vectorized-engine throughput with wavefront compaction on or off."""
-    from repro.simulation.vectorized_timing import VectorizedEventDrivenSimulator
-
-    caps = CapacitanceModel().node_capacitances(circuit)
-    stimulus = BernoulliStimulus(circuit.num_inputs, 0.5)
-    rng = np.random.default_rng(1)
-    simulator = VectorizedEventDrivenSimulator(
-        circuit,
-        node_capacitance=caps,
-        width=_COMPACTION_WIDTH,
-        wavefront_compaction=compact,
-    )
-    simulator.randomize_state(rng)
-    patterns = [
-        stimulus.next_pattern_words(rng, width=_COMPACTION_WIDTH) for _ in range(sweeps)
-    ]
-    simulator.settle(patterns[0])
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        for pattern in patterns:
-            simulator.cycle_lanes(pattern)
-        best = min(best, time.perf_counter() - start)
-    return sweeps / best
-
-
-def _measure_compaction() -> dict:
-    """On/off comparison of the wavefront-compacted event frontier.
-
-    Compaction is tightly gated (it arms only when whole 64-lane words go
-    quiescent), so on dense workloads the ratio sits at ~1.0 — the JSON
-    records the measured value either way, and the sanity assertion only
-    rejects a real regression.
-    """
-    circuit = build_circuit("s1494")
-    on = _compaction_rate(circuit, True)
-    off = _compaction_rate(circuit, False)
-    ratio = on / off
-    if ratio < 0.9:  # one clean retry for a noisy-machine reading
-        on = _compaction_rate(circuit, True)
-        off = _compaction_rate(circuit, False)
-        ratio = on / off
-    return {
-        "circuit": "s1494",
-        "width": _COMPACTION_WIDTH,
-        "on_cycles_per_second": on,
-        "off_cycles_per_second": off,
-        "compaction_speedup": ratio,
-    }
-
-
 def test_bench_event_driven_speedup(results_dir):
     """The numpy event engine sustains >=10x scalar chain-cycle throughput at width 256."""
     table = TextTable(
@@ -176,24 +119,14 @@ def test_bench_event_driven_speedup(results_dir):
         }
         table.add_row([name, circuit.num_gates, scalar, vectorized, ratios[name]])
 
-    compaction = _measure_compaction()
     lines = [
         f"Event-driven simulator backend comparison at width {_WIDTH} "
         f"(256 independent chains per time-wheel sweep, FanoutDelay model)",
         "",
         table.render(),
-        "",
-        f"Wavefront compaction at width {compaction['width']} on "
-        f"{compaction['circuit']}: {compaction['compaction_speedup']:.2f}x "
-        f"(on {compaction['on_cycles_per_second']:.1f} cyc/s, "
-        f"off {compaction['off_cycles_per_second']:.1f} cyc/s)",
     ]
     write_report(results_dir, "event_driven", "\n".join(lines))
-    write_bench_json(
-        results_dir,
-        "event_driven",
-        {"width": _WIDTH, "circuits": metrics, "wavefront_compaction": compaction},
-    )
+    write_bench_json(results_dir, "event_driven", {"width": _WIDTH, "circuits": metrics})
 
     for name in _SMOKE_CIRCUITS:
         assert ratios[name] >= 1.0, (
@@ -212,10 +145,6 @@ def test_bench_event_driven_speedup(results_dir):
                 f"{name}: numpy event engine regressed below the scalar one "
                 f"({ratios[name]:.2f}x)"
             )
-    assert compaction["compaction_speedup"] >= 0.8, (
-        f"wavefront compaction slowed the event engine to "
-        f"{compaction['compaction_speedup']:.2f}x at width {_COMPACTION_WIDTH}"
-    )
 
 
 def test_bench_event_driven_equivalence_spot_check():

@@ -36,12 +36,12 @@ from repro.api.registry import (
 )
 from repro.circuits import CircuitProgram, build_circuit, list_circuits
 from repro.core import (
+    BatchPowerSampler,
     ConsecutiveCycleEstimator,
     DipeEstimator,
     EstimationConfig,
     FixedWarmupEstimator,
     PowerEstimate,
-    PowerSampler,
     estimate_average_power,
     select_independence_interval,
 )
@@ -56,7 +56,7 @@ from repro.stimulus import (
     SpatiallyCorrelatedStimulus,
 )
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     "__version__",
@@ -82,7 +82,7 @@ __all__ = [
     "estimate_average_power",
     "EstimationConfig",
     "PowerEstimate",
-    "PowerSampler",
+    "BatchPowerSampler",
     "select_independence_interval",
     "ConsecutiveCycleEstimator",
     "FixedWarmupEstimator",

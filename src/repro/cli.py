@@ -56,7 +56,7 @@ from repro.circuits.iscas89 import (
     circuit_summary,
     list_circuits,
 )
-from repro.core.config import EstimationConfig
+from repro.core.config import SIMULATION_BACKENDS, EstimationConfig
 from repro.experiments.figure3 import format_figure3, run_figure3
 from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.table2 import format_table2, run_table2
@@ -122,11 +122,10 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                              "batches from the stopping criterion's running accuracy")
     parser.add_argument("--max-chains", type=int, default=1024,
                         help="chain-count ceiling for --adaptive-chains")
-    parser.add_argument("--backend", choices=("auto", "bigint", "numpy", "compiled"),
-                        default="auto",
-                        help="zero-delay simulator backend (auto picks by ensemble "
-                             "width; compiled generates per-circuit C, falling back "
-                             "to numpy without a compiler)")
+    parser.add_argument("--backend", choices=SIMULATION_BACKENDS, default="auto",
+                        help="zero-delay simulator backend (auto picks numpy whenever "
+                             "the native kernel loads, bigint for narrow ensembles "
+                             "without it)")
     parser.add_argument("--stimulus", choices=sorted(stimulus_names()),
                         default="bernoulli",
                         help="input-pattern generator (any registered stimulus "
@@ -200,10 +199,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             "gates_removed": original_gates - program.circuit.num_gates,
             "nets_removed": original_nets - program.circuit.num_nets,
         }
-    if args.codegen:
-        from repro.simulation.codegen import ensure_program_kernel
-
-        payload["codegen"] = ensure_program_kernel(program)
     if args.json:
         _print_json(payload)
         return 0
@@ -236,20 +231,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         )
     print("\nQuantized delay schedules:")
     print(table.render())
-    if args.codegen:
-        report = payload["codegen"]
-        print("\nCodegen kernel:")
-        if not report["enabled"]:
-            print("  unavailable (no C compiler or REPRO_NATIVE=0); "
-                  "engines fall back to the numpy sweep")
-        else:
-            status = "hit" if report["cache_hit"] else "miss (compiled now)"
-            print(f"  object : {report['path'] or '(in-memory only; set REPRO_PROGRAM_CACHE)'}")
-            if report["size_bytes"] is not None:
-                print(f"  size   : {report['size_bytes']} bytes")
-            print(f"  cache  : {status}")
-            print(f"  source : {report['source_bytes']} bytes "
-                  f"(digest {report['source_digest']})")
     return 0
 
 
@@ -628,11 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--optimize", action="store_true",
         help="apply the optional program optimization passes "
              "(dead-net sweep + buffer/inverter collapse) before reporting")
-    compile_verb.add_argument(
-        "--codegen", action="store_true",
-        help="pre-build the per-circuit compiled sweep kernel and report the "
-             "cached shared object (path, size, cache hit/miss); warms the "
-             "cache the 'compiled' backend reads")
     _add_json_argument(compile_verb)
     compile_verb.set_defaults(handler=_cmd_compile)
 

@@ -17,7 +17,6 @@ from repro.core.config import EstimationConfig
 from repro.core.dipe import DipeEstimator, estimate_average_power
 from repro.core.interval import select_independence_interval
 from repro.core.results import IntervalSelectionResult, IntervalTrial, PowerEstimate
-from repro.core.sampler import PowerSampler
 from repro.core.sharded_sampler import ShardedPowerSampler
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "IntervalSelectionResult",
     "IntervalTrial",
     "PowerEstimate",
-    "PowerSampler",
     "BatchPowerSampler",
     "ShardedPowerSampler",
     "select_independence_interval",

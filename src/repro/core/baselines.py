@@ -39,7 +39,6 @@ from repro.circuits.program import as_compiled_circuit
 from repro.core.batch_sampler import BatchPowerSampler, draw_samples, make_sampler
 from repro.core.config import EstimationConfig
 from repro.core.results import PowerEstimate
-from repro.core.sampler import PowerSampler
 from repro.netlist.netlist import Netlist
 from repro.simulation.compiled import CompiledCircuit
 from repro.stats.stopping import make_stopping_criterion
@@ -64,16 +63,10 @@ class _BaselineEstimator(StreamingEstimator):
         self.circuit = circuit
         self.config = config or EstimationConfig()
         self.stimulus = stimulus or BernoulliStimulus(circuit.num_inputs, 0.5)
-        self.sampler: PowerSampler | BatchPowerSampler = make_sampler(
-            circuit, self.stimulus, self.config, rng=rng
-        )
-
-    @property
-    def _batch(self) -> bool:
-        return isinstance(self.sampler, BatchPowerSampler)
+        self.sampler: BatchPowerSampler = make_sampler(circuit, self.stimulus, self.config, rng=rng)
 
     def _collect_batch(self) -> list[float]:
-        """Draw the next batch of samples (one per chain in batch mode)."""
+        """Draw the next batch of samples (one per chain)."""
         raise NotImplementedError
 
     def _interval(self) -> int:
@@ -226,6 +219,4 @@ class FixedWarmupEstimator(_BaselineEstimator):
     def _collect_batch(self) -> list[float]:
         self.sampler.restart_from_random_state()
         self.sampler.advance(self.warmup_period)
-        if self._batch:
-            return [float(s) for s in self.sampler.measure_cycle()]
-        return [self.sampler.measure_cycle()]
+        return self.sampler.measure_cycle().tolist()

@@ -1,36 +1,36 @@
-"""Multi-chain Monte Carlo power sampling on the vectorized simulators.
+"""Two-phase random power sampling (Section IV of the paper), one or many chains.
 
-:class:`BatchPowerSampler` is the ensemble counterpart of
-:class:`~repro.core.sampler.PowerSampler`: instead of one FSM trajectory it
-advances ``num_chains`` statistically independent DIPE chains in lock-step,
-one lane per chain, so a single gate sweep of the zero-delay simulator
-produces ``num_chains`` power observations.  Every chain owns its own
-stimulus stream (lane *k* of the vectorized stimulus draws), its own random
-initial state and its own warm-up, so the chains are mutually independent and
-each one is individually distributed exactly like a single-chain sampler run.
+During the independence interval the circuit only needs to be *advanced* —
+"zero-delay simulation of the next-state logic of the FSM is sufficient" — so
+the cheap cycle-based simulator is used and no power is recorded.  At the end
+of the interval the sampled cycle is simulated with the configured power
+engine.
 
-The two-phase sampling scheme of the paper carries over unchanged: during the
-independence interval all chains are only *advanced* (cheap zero-delay
-sweeps, no measurement); on the sampled cycle one lane-resolved measurement
-yields one power sample per chain.  Both power engines are supported:
+:class:`BatchPowerSampler` advances ``num_chains`` statistically independent
+DIPE chains in lock-step, one lane per chain, so a single gate sweep of the
+zero-delay simulator produces ``num_chains`` power observations.
+``num_chains=1`` is the paper's single-chain sampler.  Every chain owns its
+own stimulus stream (lane *k* of the vectorized stimulus draws), its own
+random initial state and its own warm-up, so the chains are mutually
+independent and each one is individually distributed exactly like a
+single-chain run.  The sampler exposes the two operations the estimators
+need: :meth:`~BatchPowerSampler.collect_sequence` (chain 0's ordered power
+sequence for the runs test of interval selection) and
+:meth:`~BatchPowerSampler.next_samples` (one sample per chain after the
+selected independence interval).  Both power engines are supported:
 
 * ``power_simulator="zero-delay"`` measures the functional transitions of the
   sweep itself;
 * ``power_simulator="event-driven"`` re-simulates the sampled cycle for all
   chains at once with the vectorized general-delay engine
   (:mod:`repro.simulation.vectorized_timing`), so glitch power rides the
-  same lock-step ensemble.
+  same lock-step ensemble (a single chain runs on the scalar event engine).
 
 The samples of consecutive measured cycles are interleaved chain-major into
 the growing sample that feeds the stopping criteria — exchangeable,
 independent draws from the same stationary power distribution.  Use
 :meth:`BatchPowerSampler.sample_block` (or :func:`draw_sample_block`) to
 collect a whole stopping-criterion batch without per-sample Python loops.
-
-With ``num_chains=1`` the sampler consumes the RNG stream identically to
-:class:`~repro.core.sampler.PowerSampler` and therefore reproduces its
-samples one-for-one under a fixed seed (a property the test suite pins down
-for both power engines).
 
 **Adaptive chain scaling** (``EstimationConfig(adaptive_chains=True)``):
 between sample batches, :meth:`plan_chain_resize` converts the stopping
@@ -51,7 +51,6 @@ import numpy as np
 from repro.api.registry import get_simulator
 from repro.circuits.program import CircuitProgram
 from repro.core.config import EstimationConfig
-from repro.core.sampler import PowerSampler
 from repro.simulation.zero_delay import ZeroDelaySimulator
 from repro.stats.stopping.base import StoppingDecision
 from repro.stimulus.base import Stimulus
@@ -63,40 +62,31 @@ def make_sampler(
     stimulus: Stimulus,
     config: EstimationConfig,
     rng: RandomSource = None,
-) -> "PowerSampler | BatchPowerSampler":
+) -> "BatchPowerSampler":
     """Build the sampler the configuration asks for.
 
     ``num_workers > 1`` — or ``worker_hosts`` naming a coordinator address
     for remote TCP shard workers — selects the sharded sampler (which
     produces results draw-for-draw identical to the in-process one);
-    ``num_chains > 1`` (or adaptive chain scaling, which needs a resizable
-    ensemble) selects the multi-chain batch sampler; otherwise the
-    single-chain two-phase sampler is used.  Every estimator dispatches
-    through this single point so the selection rule cannot drift between
-    them.
+    otherwise the in-process :class:`BatchPowerSampler` runs
+    ``config.num_chains`` chains.  Every estimator dispatches through this
+    single point so the selection rule cannot drift between them.
     """
     if config.num_workers > 1 or config.worker_hosts:
         # Imported lazily: the sharded sampler builds on this module.
         from repro.core.sharded_sampler import ShardedPowerSampler
 
         return ShardedPowerSampler(circuit, stimulus, config, rng=rng)
-    if config.num_chains > 1 or config.adaptive_chains:
-        return BatchPowerSampler(circuit, stimulus, config, rng=rng)
-    return PowerSampler(circuit, stimulus, config, rng=rng)
+    return BatchPowerSampler(circuit, stimulus, config, rng=rng)
 
 
-def draw_samples(sampler: "PowerSampler | BatchPowerSampler", interval: int) -> list[float]:
-    """Draw the next batch of power samples: one per chain, or a single one."""
-    if isinstance(sampler, BatchPowerSampler):
-        # ndarray.tolist() converts lanes to Python floats in C, replacing the
-        # old per-sample Python comprehension on this hot path.
-        return sampler.next_samples(interval).tolist()
-    return [sampler.next_sample(interval)]
+def draw_samples(sampler: "BatchPowerSampler", interval: int) -> list[float]:
+    """Draw the next batch of power samples, one per chain."""
+    # ndarray.tolist() converts lanes to Python floats in C.
+    return sampler.next_samples(interval).tolist()
 
 
-def draw_sample_block(
-    sampler: "PowerSampler | BatchPowerSampler", interval: int, min_count: int
-) -> list[float]:
+def draw_sample_block(sampler: "BatchPowerSampler", interval: int, min_count: int) -> list[float]:
     """Draw at least *min_count* new samples, chain-major interleaved.
 
     Draw-for-draw identical to calling :func:`draw_samples` in a loop until
@@ -109,16 +99,14 @@ def draw_sample_block(
     and fed to :meth:`BatchPowerSampler.note_sweep_seconds`; with the flag
     off, no clock is read at all, so disabled runs stay bit-identical.
     """
-    if isinstance(sampler, BatchPowerSampler):
-        config = sampler.config
-        if config.adaptive_chains and config.adaptive_time_aware:
-            start = time.perf_counter()
-            block = sampler.sample_block(interval, min_count)
-            sweeps = len(block) // max(1, sampler.num_chains)
-            sampler.note_sweep_seconds(time.perf_counter() - start, sweeps)
-            return block.tolist()
-        return sampler.sample_block(interval, min_count).tolist()
-    return [sampler.next_sample(interval) for _ in range(min_count)]
+    config = sampler.config
+    if config.adaptive_chains and config.adaptive_time_aware:
+        start = time.perf_counter()
+        block = sampler.sample_block(interval, min_count)
+        sweeps = len(block) // max(1, sampler.num_chains)
+        sampler.note_sweep_seconds(time.perf_counter() - start, sweeps)
+        return block.tolist()
+    return sampler.sample_block(interval, min_count).tolist()
 
 
 class BatchPowerSampler:
@@ -141,8 +129,8 @@ class BatchPowerSampler:
         Number of independent chains advanced per gate sweep; defaults to
         ``config.num_chains``.
     backend:
-        Zero-delay simulator backend (``"auto"``, ``"bigint"``, ``"numpy"``
-        or ``"compiled"``); defaults to ``config.simulation_backend``.  The
+        Zero-delay simulator backend (``"auto"``, ``"bigint"`` or
+        ``"numpy"``); defaults to ``config.simulation_backend``.  The
         event-driven engine picks scalar/numpy from the chain count.
     """
 
@@ -173,16 +161,6 @@ class BatchPowerSampler:
         self._backend_request = (
             self.config.simulation_backend if backend is None else backend
         )
-        if self._backend_request == "auto":
-            # Registered simulators may pin the state-engine backend (the
-            # "compiled"/"event-driven-compiled" engines route the shared
-            # state sweeps through the codegen kernel); an explicit user
-            # backend always wins over the engine's preference.
-            override = getattr(
-                get_simulator(self.config.power_simulator), "state_backend", None
-            )
-            if override is not None:
-                self._backend_request = override
         self._build_engines()
 
         self.cycles_simulated = 0
@@ -215,7 +193,7 @@ class BatchPowerSampler:
 
     @property
     def backend(self) -> str:
-        """Resolved zero-delay simulator backend ("bigint", "numpy" or "compiled")."""
+        """Resolved zero-delay simulator backend ("bigint" or "numpy")."""
         return self._engine.backend
 
     @property
@@ -339,10 +317,14 @@ class BatchPowerSampler:
 
     # ------------------------------------------------------------------ state
     def get_state(self) -> dict:
-        """Snapshot the sampler for checkpoint/resume (see :class:`PowerSampler`).
+        """Snapshot the sampler for checkpoint/resume.
 
-        The event-driven engine needs no snapshot: every measured cycle
-        reloads it from the zero-delay engine's settled network.
+        Captures the RNG bit-generator state, the zero-delay engine's lane
+        values, the stimulus state and the cycle counter — everything needed
+        so a restored sampler continues the *same* random trajectory.  The
+        engine snapshot restores into either zero-delay backend.  The
+        event-driven engine needs no snapshot: every measured cycle reloads
+        it from the zero-delay engine's settled network.
         """
         return {
             "rng": self.rng.bit_generator.state,

@@ -8,6 +8,7 @@ distribution-independent (order-statistics) stopping criterion.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
@@ -24,11 +25,10 @@ POWER_SIMULATORS = ("zero-delay", "event-driven")
 #: :mod:`repro.api.registry`, so names registered by plugins are accepted too.
 STOPPING_CRITERIA = ("order-statistic", "clt", "ks")
 
-#: Simulator backends accepted by :class:`EstimationConfig`.  "compiled" is
-#: the numpy engine driving per-circuit generated C sweeps
-#: (:mod:`repro.simulation.codegen`), bit-identical to "numpy" and degrading
-#: to it when no C compiler is available.
-SIMULATION_BACKENDS = ("auto", "bigint", "numpy", "compiled")
+#: Simulator backends accepted by :class:`EstimationConfig`.  (The retired
+#: ``"compiled"`` backend of release 1.3 was bit-identical to ``"numpy"`` and
+#: is mapped onto it, with a ``DeprecationWarning``.)
+SIMULATION_BACKENDS = ("auto", "bigint", "numpy")
 
 
 @dataclass(frozen=True)
@@ -160,10 +160,10 @@ class EstimationConfig:
         tighter at the cost of more ``get_state`` round trips.
     simulation_backend:
         Lane-storage backend of the zero-delay simulator: ``"bigint"``
-        (Python integers), ``"numpy"`` (word-sliced uint64 arrays),
-        ``"compiled"`` (numpy storage with per-circuit generated C sweeps)
-        or ``"auto"`` (pick by ensemble width).  The event-driven power
-        engine picks its scalar or vectorized backend from the chain count.
+        (Python integers), ``"numpy"`` (word-sliced uint64 arrays) or
+        ``"auto"`` (numpy whenever the native kernel loads; without it,
+        bigint for narrow ensembles).  The event-driven power engine picks
+        its scalar or vectorized backend from the chain count.
     power_model / capacitance_model:
         Electrical models; defaults are the paper's 5 V / 20 MHz operating
         point and the default standard-cell capacitance values.
@@ -273,6 +273,14 @@ class EstimationConfig:
             )
         if self.adaptive_target_seconds <= 0.0:
             raise ValueError("adaptive_target_seconds must be positive")
+        if self.simulation_backend == "compiled":
+            warnings.warn(
+                'simulation_backend="compiled" is retired; it was bit-identical to '
+                '"numpy", which runs instead',
+                DeprecationWarning,
+                stacklevel=3,
+            )
+            object.__setattr__(self, "simulation_backend", "numpy")
         if self.simulation_backend not in SIMULATION_BACKENDS:
             raise ValueError(
                 f"simulation_backend must be one of {SIMULATION_BACKENDS}, "

@@ -51,7 +51,6 @@ from repro.core.batch_sampler import BatchPowerSampler, draw_sample_block, make_
 from repro.core.config import EstimationConfig
 from repro.core.interval import select_independence_interval
 from repro.core.results import PowerEstimate
-from repro.core.sampler import PowerSampler
 from repro.netlist.netlist import Netlist
 from repro.simulation.compiled import CompiledCircuit
 from repro.stats.stopping import GroupedStoppingCriterion, make_stopping_criterion
@@ -137,16 +136,14 @@ class DipeEstimator(StreamingEstimator):
         self.circuit = circuit
         self.config = config or EstimationConfig()
         self.stimulus = stimulus or BernoulliStimulus(circuit.num_inputs, 0.5)
-        self.sampler: PowerSampler | BatchPowerSampler = make_sampler(
-            circuit, self.stimulus, self.config, rng=rng
-        )
+        self.sampler: BatchPowerSampler = make_sampler(circuit, self.stimulus, self.config, rng=rng)
         # Lane-coupled variance-reduction stimuli (repro.variance) correlate
         # the draws within each measured sweep; per-sample i.i.d. confidence
         # intervals would be invalid, so the criterion evaluates sweep means
         # instead.  The grouped inner criterion counts sweeps, hence the
         # scaled-down min_samples floor.
         lanes_dependent = getattr(self.stimulus, "lanes_dependent", False)
-        group = getattr(self.sampler, "num_chains", 1) if lanes_dependent else 1
+        group = self.sampler.num_chains if lanes_dependent else 1
         if lanes_dependent and self.config.adaptive_chains:
             raise ValueError(
                 "adaptive_chains cannot be combined with a lane-coupled "
@@ -225,12 +222,11 @@ class DipeEstimator(StreamingEstimator):
         # would be circular.
         from repro.variance.accumulators import PairedMeanAccumulator
 
-        adaptive = config.adaptive_chains and isinstance(self.sampler, BatchPowerSampler)
         accumulator = PairedMeanAccumulator(self.sample_group_width)
         accumulator.extend(samples)
         decision = self.stopping_criterion.evaluate(samples)
         while not decision.should_stop and len(samples) < config.max_samples:
-            if adaptive:
+            if config.adaptive_chains:
                 desired = self.sampler.plan_chain_resize(decision)
                 if desired != self.sampler.num_chains:
                     previous = self.sampler.num_chains

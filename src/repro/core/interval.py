@@ -11,14 +11,14 @@ power sample for mean estimation.
 
 from __future__ import annotations
 
+from repro.core.batch_sampler import BatchPowerSampler
 from repro.core.config import EstimationConfig
 from repro.core.results import IntervalSelectionResult, IntervalTrial
-from repro.core.sampler import PowerSampler
 from repro.stats.randomness import runs_test_on_values
 
 
 def select_independence_interval(
-    sampler: PowerSampler,
+    sampler: BatchPowerSampler,
     config: EstimationConfig | None = None,
 ) -> IntervalSelectionResult:
     """Run the sequential interval-selection procedure on *sampler*.
@@ -64,7 +64,7 @@ def select_independence_interval(
 
 
 def z_statistic_profile(
-    sampler: PowerSampler,
+    sampler: BatchPowerSampler,
     max_interval: int,
     sequence_length: int,
     significance_level: float = 0.20,

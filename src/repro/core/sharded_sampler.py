@@ -122,11 +122,10 @@ from repro.core.transport import ShardCoordinator
 from repro.core.transport import WorkerDown as _WorkerDown
 from repro.faults import FaultInjector, FaultSchedule, SimulatedWorkerDeath
 from repro.faults import active_schedule as _ambient_fault_schedule
-from repro.simulation.zero_delay import resolve_backend
+from repro.simulation.zero_delay import resolve_backend, snapshot_words
 from repro.stimulus.base import Stimulus
 from repro.utils.bitpack import (
     bits_to_words,
-    pack_int_to_words,
     unpack_words_to_int,
     words_per_width,
     words_to_bits,
@@ -265,8 +264,8 @@ class _ShardSampler(BatchPowerSampler):
     and forces them on every shard (``backend`` and ``event_backend`` arrive
     pre-resolved), so every shard runs the engines the in-process full-width
     sampler runs.  Per-lane energies agree on any backend (they come from
-    integer per-class toggle counts); forcing the backends keeps the shard
-    snapshots in the full-width sampler's state format.
+    integer per-class toggle counts), and engine snapshots of either backend
+    restore into either.
     """
 
     def __init__(
@@ -351,7 +350,7 @@ class _ShardServer:
                 if width > 0
                 else None
             )
-            return self.sampler.backend if self.sampler is not None else None
+            return None
         if op == "prepare":
             self._require_sampler().prepare(message[1])
             return None
@@ -1084,13 +1083,13 @@ class ShardedPowerSampler(BatchPowerSampler):
         self._event_engine = None
         self._use_words = True
         # Backends are resolved at the FULL ensemble width and forced on all
-        # shards, so each shard runs (and snapshots) the engines of the
-        # equivalent in-process sampler.
+        # shards, so each shard runs the engines of the equivalent
+        # in-process sampler.
         zd_backend = resolve_backend(self._backend_request, self.num_chains)
         event_backend = "scalar" if self.num_chains == 1 else "numpy"
         for handle, (_, width) in zip(self._handles, self._shards):
             handle.send("build", width, zd_backend, event_backend)
-        self._shard_backends = [replies[0] for replies in self._collect_all()]
+        self._collect_all()
         self._rounds_since_sync = 0
 
     def close(self) -> None:
@@ -1414,60 +1413,37 @@ class ShardedPowerSampler(BatchPowerSampler):
         self.stimulus.set_state(state["stimulus"])
 
     def _merge_engine_states(self, states: Sequence[dict]) -> dict:
-        """Merge per-shard engine snapshots into one full-width snapshot."""
-        columns = []
-        for state, (_, _, _, width, _, word_count) in zip(states, self._active()):
-            if state["backend"] == "numpy":
-                columns.append(np.asarray(state["words"], dtype=np.uint64))
-            else:
-                columns.append(
-                    np.stack(
-                        [pack_int_to_words(value, word_count) for value in state["values"]]
-                    )
-                )
-        words = np.concatenate(columns, axis=1)
-        settled = states[0]["settled"]
-        cycles = states[0]["cycles"]
-        if self.backend != "bigint":
-            return {"backend": "numpy", "words": words, "settled": settled, "cycles": cycles}
+        """Merge per-shard engine snapshots into one full-width lane-word snapshot.
+
+        The zero-delay facade restores a snapshot of either backend, so the
+        merged words resume in-process and sharded samplers alike.
+        """
+        words = np.concatenate(
+            [
+                snapshot_words(state, word_count)
+                for state, (_, _, _, _, _, word_count) in zip(states, self._active())
+            ],
+            axis=1,
+        )
         return {
-            "backend": "bigint",
-            "values": [unpack_words_to_int(row) for row in words],
-            "settled": settled,
-            "cycles": cycles,
+            "backend": "numpy",
+            "words": words,
+            "settled": states[0]["settled"],
+            "cycles": states[0]["cycles"],
         }
 
     def _split_engine_state(self, engine_state: dict) -> list[dict]:
-        """Slice a full-width engine snapshot into per-shard snapshots."""
-        if engine_state["backend"] == "numpy":
-            words = np.asarray(engine_state["words"], dtype=np.uint64)
-        else:
-            words = np.stack(
-                [
-                    pack_int_to_words(value, self._num_words)
-                    for value in engine_state["values"]
-                ]
-            )
-        settled = engine_state["settled"]
-        cycles = engine_state["cycles"]
-        shard_states = []
-        for _, worker, _, width, word_offset, word_count in self._active():
-            shard_words = np.ascontiguousarray(words[:, word_offset : word_offset + word_count])
-            if self._shard_backends[worker] != "bigint":
-                shard_states.append(
-                    {"backend": "numpy", "words": shard_words, "settled": settled, "cycles": cycles}
-                )
-            else:
-                mask = (1 << width) - 1
-                shard_states.append(
-                    {
-                        "backend": "bigint",
-                        "values": [unpack_words_to_int(row) & mask for row in shard_words],
-                        "settled": settled,
-                        "cycles": cycles,
-                    }
-                )
-        return shard_states
+        """Slice a full-width engine snapshot (either backend) into per-shard snapshots."""
+        words = snapshot_words(engine_state, self._num_words)
+        return [
+            {
+                "backend": "numpy",
+                "words": np.ascontiguousarray(words[:, word_offset : word_offset + word_count]),
+                "settled": engine_state["settled"],
+                "cycles": engine_state["cycles"],
+            }
+            for _, _, _, _, word_offset, word_count in self._active()
+        ]
 
     # ---------------------------------------------------- inherited semantics
     # prepare(), resize(), plan_chain_resize(), samples(), chain_cycles and

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.circuits.iscas89 import build_circuit
+from repro.core.batch_sampler import BatchPowerSampler
 from repro.core.config import EstimationConfig
 from repro.core.interval import select_independence_interval
-from repro.core.sampler import PowerSampler
 from repro.stimulus.random_inputs import BernoulliStimulus
 from repro.utils.rng import RandomSource, child_rngs, spawn_rng
 from repro.utils.tables import TextTable
@@ -70,11 +70,12 @@ def run_seqlen_ablation(
             selection_cycles = []
             converged = 0
             for run_rng in child_rngs(int(master_rng.integers(0, 2**62)), runs_per_setting):
-                sampler = PowerSampler(
+                sampler = BatchPowerSampler(
                     circuit,
                     BernoulliStimulus(circuit.num_inputs, 0.5),
                     run_config,
                     rng=run_rng,
+                    num_chains=1,
                 )
                 sampler.prepare(run_config.warmup_cycles)
                 selection = select_independence_interval(sampler, run_config)

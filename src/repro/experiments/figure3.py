@@ -31,8 +31,8 @@ from repro.api.jobs import JobSpec, StimulusSpec, register_result_type, run_job
 from repro.api.protocol import StreamingEstimator
 from repro.api.registry import register_estimator
 from repro.circuits.program import as_compiled_circuit
+from repro.core.batch_sampler import BatchPowerSampler
 from repro.core.config import EstimationConfig
-from repro.core.sampler import PowerSampler
 from repro.netlist.netlist import Netlist
 from repro.simulation.compiled import CompiledCircuit
 from repro.stats.randomness import runs_test_on_values
@@ -158,7 +158,7 @@ class Figure3Estimator(StreamingEstimator):
         self.significance_level = (
             self.config.significance_level if significance_level is None else significance_level
         )
-        self.sampler = PowerSampler(circuit, self.stimulus, self.config, rng=rng)
+        self.sampler = BatchPowerSampler(circuit, self.stimulus, self.config, rng=rng, num_chains=1)
 
     def run(self, resume_from=None) -> Iterator[ProgressEvent]:
         """Measure the profile incrementally, one interval per event."""

@@ -4,21 +4,21 @@ Two complementary simulators are provided, matching the two-phase simulation
 strategy of the paper (Section IV):
 
 * :class:`~repro.simulation.zero_delay.ZeroDelaySimulator` — a cycle-based,
-  zero-delay simulator.  It is bit-parallel: every net value is a Python
-  integer whose bit *k* belongs to an independent simulation lane, so one
-  pass over the gates advances up to hundreds of statistically independent
-  chains at once.  It is used (a) to advance the circuit state cheaply during
+  zero-delay simulator.  It is bit-parallel: every net carries one bit per
+  independent simulation lane, so one pass over the gates advances up to
+  hundreds of statistically independent chains at once.  It is used (a) to advance the circuit state cheaply during
   the independence interval and (b) with many lanes for the long-run
   reference ("SIM") power estimate.
 * :class:`~repro.simulation.event_driven.EventDrivenSimulator` — a
   general-delay, event-driven simulator that counts every transition,
   including glitches, for the cycles in which power is actually sampled.
 
-Both simulators are backend-switching facades: a scalar/big-int engine for
-narrow ensembles and a word-sliced numpy engine
-(:class:`~repro.simulation.vectorized.VectorizedZeroDelaySimulator`,
+Both simulators are backend-switching facades over a word-sliced numpy
+engine (:class:`~repro.simulation.vectorized.VectorizedZeroDelaySimulator`,
 :class:`~repro.simulation.vectorized_timing.VectorizedEventDrivenSimulator`)
-that advances all chains and lanes together.
+that advances all chains and lanes together, and a scalar/big-int engine: the
+single-chain event loop, and the zero-delay reference oracle and
+no-compiler fallback.
 """
 
 from repro.simulation.activity import ActivityRecord, collect_activity

@@ -22,12 +22,9 @@ The kernel is strictly optional:
   directory that is removed immediately after loading (the mapping stays
   valid on POSIX), so no build artefacts are left behind.
 
-:func:`compile_and_load` is the shared compile-or-reuse machinery; the
-per-circuit code generator (:mod:`repro.simulation.codegen`) drives the same
-path with its generated translation units.  This module reads the cache
-directory straight from the environment instead of importing
-:mod:`repro.circuits.program` (which imports the opcodes below — the import
-must stay one-directional).
+This module reads the cache directory straight from the environment instead
+of importing :mod:`repro.circuits.program` (which imports the opcodes below —
+the import must stay one-directional).
 
 The kernel also counts each cycle's toggles per (capacitance class, lane)
 (``class_lane_counts``); the vectorized engine's numpy fallback computes the
@@ -168,49 +165,6 @@ void class_lane_counts(const uint64_t *prev, const uint64_t *cur,
         }
     }
 }
-
-/* ed_eval restricted to a subset of value-word columns (wavefront
- * compaction): cols lists the still-active word indices; out is
- * (num_active, num_cols) and holds each gate's output for those words only.
- */
-void ed_eval_cols(const uint64_t *values, int64_t num_words,
-                  const int64_t *gate_ids, int64_t num_active,
-                  const uint8_t *ops, const int64_t *in_ptr, const int64_t *in_rows,
-                  const uint64_t *mask, const int64_t *cols, int64_t num_cols,
-                  uint64_t *out)
-{
-    for (int64_t i = 0; i < num_active; i++) {
-        const int64_t g = gate_ids[i];
-        const uint8_t op = ops[g];
-        const int64_t lo = in_ptr[g];
-        const int64_t hi = in_ptr[g + 1];
-        uint64_t *dst = out + i * num_cols;
-        if (lo == hi) {
-            for (int64_t k = 0; k < num_cols; k++) dst[k] = 0;
-            continue;
-        }
-        const uint64_t *first = values + in_rows[lo] * num_words;
-        for (int64_t k = 0; k < num_cols; k++)
-            dst[k] = first[cols[k]];
-        for (int64_t j = lo + 1; j < hi; j++) {
-            const uint64_t *src = values + in_rows[j] * num_words;
-            switch (op & 3) {
-            case 0:
-                for (int64_t k = 0; k < num_cols; k++) dst[k] &= src[cols[k]];
-                break;
-            case 1:
-                for (int64_t k = 0; k < num_cols; k++) dst[k] |= src[cols[k]];
-                break;
-            default:
-                for (int64_t k = 0; k < num_cols; k++) dst[k] ^= src[cols[k]];
-                break;
-            }
-        }
-        if (op & 4)
-            for (int64_t k = 0; k < num_cols; k++)
-                dst[k] = ~dst[k] & mask[cols[k]];
-    }
-}
 """
 
 #: Opcodes understood by the kernel (and mirrored by the numpy sweep).
@@ -241,9 +195,8 @@ def find_compiler() -> str | None:
 def compiler_invocations() -> int:
     """Number of C-compiler subprocesses this process has launched.
 
-    The codegen benchmark asserts on this: a warm-cache run must build every
-    engine it needs with **zero** compiler invocations (in-process memo plus
-    on-disk shared objects cover them all).
+    A warm-cache run must build every engine it needs with **zero**
+    compiler invocations (in-process memo plus the on-disk shared object).
     """
     return _compiler_invocations
 
@@ -264,7 +217,7 @@ def _kernel_cache_dir() -> str | None:
     return value or None
 
 
-def _invoke_compiler(source: str, library_path: str, optimize: str = "-O2") -> bool:
+def _invoke_compiler(source: str, library_path: str) -> bool:
     """Compile *source* into *library_path*; False on any failure."""
     global _compiler_invocations
     compiler = find_compiler()
@@ -277,7 +230,7 @@ def _invoke_compiler(source: str, library_path: str, optimize: str = "-O2") -> b
             handle.write(source)
         _compiler_invocations += 1
         result = subprocess.run(
-            [compiler, optimize, "-shared", "-fPIC", "-o", library_path, source_path],
+            [compiler, "-O2", "-shared", "-fPIC", "-o", library_path, source_path],
             capture_output=True,
             timeout=300,
         )
@@ -295,7 +248,7 @@ def _load_library(path: str) -> ctypes.CDLL | None:
         return None
 
 
-def compile_and_load(source: str, tag: str, optimize: str = "-O2") -> ctypes.CDLL | None:
+def compile_and_load(source: str, tag: str) -> ctypes.CDLL | None:
     """Compile *source* (or reuse its disk-cached object) and ``dlopen`` it.
 
     With ``REPRO_PROGRAM_CACHE`` set, the object is cached as
@@ -310,7 +263,7 @@ def compile_and_load(source: str, tag: str, optimize: str = "-O2") -> ctypes.CDL
     """
     directory = _kernel_cache_dir()
     if directory is None:
-        return _compile_in_tempdir(source, optimize)
+        return _compile_in_tempdir(source)
     digest = source_digest(source)
     path = os.path.join(directory, f"{tag}.k{KERNEL_CACHE_VERSION}.{digest}.so")
     if os.path.exists(path):
@@ -324,7 +277,7 @@ def compile_and_load(source: str, tag: str, optimize: str = "-O2") -> ctypes.CDL
     temp = f"{path}.tmp{os.getpid()}"
     try:
         os.makedirs(directory, exist_ok=True)
-        if not _invoke_compiler(source, temp, optimize):
+        if not _invoke_compiler(source, temp):
             return _cleanup_temp(temp)
         os.replace(temp, path)
     except OSError:
@@ -346,11 +299,11 @@ def _cleanup_temp(temp: str) -> None:
     return None
 
 
-def _compile_in_tempdir(source: str, optimize: str = "-O2") -> ctypes.CDLL | None:
+def _compile_in_tempdir(source: str) -> ctypes.CDLL | None:
     workdir = tempfile.mkdtemp(prefix="repro-kernel-")
     try:
         library_path = os.path.join(workdir, "kernel.so")
-        if not _invoke_compiler(source, library_path, optimize):
+        if not _invoke_compiler(source, library_path):
             return None
         return _load_library(library_path)
     finally:
@@ -386,20 +339,6 @@ def _compile_kernel() -> ctypes.CDLL | None:
         int64_p,  # in_ptr
         int64_p,  # in_rows
         uint64_p,  # lane mask
-        uint64_p,  # out
-    ]
-    library.ed_eval_cols.restype = None
-    library.ed_eval_cols.argtypes = [
-        uint64_p,  # values
-        ctypes.c_int64,  # num_words
-        int64_p,  # gate_ids
-        ctypes.c_int64,  # num_active
-        uint8_p,  # ops
-        int64_p,  # in_ptr
-        int64_p,  # in_rows
-        uint64_p,  # lane mask
-        int64_p,  # cols
-        ctypes.c_int64,  # num_cols
         uint64_p,  # out
     ]
     return library

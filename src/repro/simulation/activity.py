@@ -80,9 +80,10 @@ def collect_activity(
     toggles = [0] * circuit.num_nets
     for _ in range(cycles):
         counts = simulator.step_and_count(stimulus.next_pattern(generator, width=1))
+        values = simulator.lane_values(0)
         for net_id in range(circuit.num_nets):
             toggles[net_id] += counts[net_id]
-            ones[net_id] += simulator.values[net_id] & 1
+            ones[net_id] += values[net_id]
 
     return ActivityRecord(
         circuit_name=circuit.name,

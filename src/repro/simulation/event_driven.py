@@ -50,12 +50,8 @@ from repro.simulation.backends import resolve_backend_choice
 from repro.simulation.delay_models import DelayModel, FanoutDelay
 from repro.utils.rng import RandomSource, spawn_rng
 
-#: Backends accepted by :class:`EventDrivenSimulator`.  ``"compiled"`` is the
-#: numpy engine evaluating gate frontiers through the per-program codegen
-#: kernel (:mod:`repro.simulation.codegen`); it degrades to the generic
-#: kernel / grouped numpy when no compiler is available, so its results are
-#: always bit-identical to ``"numpy"``.
-EVENT_BACKENDS = ("auto", "scalar", "numpy", "compiled")
+#: Backends accepted by :class:`EventDrivenSimulator`.
+EVENT_BACKENDS = ("auto", "scalar", "numpy")
 
 
 def resolve_event_backend(backend: str, width: int) -> str:
@@ -87,10 +83,9 @@ class EventDrivenSimulator:
     width:
         Number of independent simulation chains (lanes) advanced per cycle.
     backend:
-        ``"scalar"``, ``"numpy"``, ``"compiled"`` or ``"auto"`` (scalar at
-        width 1, numpy otherwise).  All backends count identical transitions
-        for identical stimuli, lane for lane; ``"compiled"`` only differs
-        from ``"numpy"`` in how gate frontiers are evaluated.
+        ``"scalar"``, ``"numpy"`` or ``"auto"`` (scalar at width 1, numpy
+        otherwise).  Both backends count identical transitions for identical
+        stimuli, lane for lane.
     """
 
     def __init__(
@@ -100,7 +95,6 @@ class EventDrivenSimulator:
         node_capacitance: Sequence[float] | np.ndarray | None = None,
         width: int = 1,
         backend: str = "auto",
-        wavefront_compaction: bool = True,
     ):
         # Imported lazily: the program module imports from repro.simulation.
         from repro.circuits.program import CircuitProgram, node_capacitance_array
@@ -121,7 +115,7 @@ class EventDrivenSimulator:
         self.node_capacitance = node_capacitance_array(self.program, node_capacitance)
 
         self._vec = None
-        if self.backend in ("numpy", "compiled"):
+        if self.backend == "numpy":
             from repro.simulation.vectorized_timing import VectorizedEventDrivenSimulator
 
             self._vec = VectorizedEventDrivenSimulator(
@@ -130,8 +124,6 @@ class EventDrivenSimulator:
                 node_capacitance=self.node_capacitance,
                 width=width,
                 schedule=schedule,
-                wavefront_compaction=wavefront_compaction,
-                codegen=self.backend == "compiled",
             )
             return
 

@@ -1,10 +1,10 @@
 """Power-measurement engines, dispatched through the simulator registry.
 
-The samplers (:class:`~repro.core.sampler.PowerSampler`,
-:class:`~repro.core.batch_sampler.BatchPowerSampler`) always own a cheap
-zero-delay *state engine* that advances the chain ensemble through the
-independence interval.  What varies between power engines is how the sampled
-cycle itself is measured; that choice is a string key
+The samplers (:class:`~repro.core.batch_sampler.BatchPowerSampler` and its
+sharded counterpart) always own a cheap zero-delay *state engine* that
+advances the chain ensemble through the independence interval.  What varies
+between power engines is how the sampled cycle itself is measured; that
+choice is a string key
 (``EstimationConfig(power_simulator=...)``) resolved through
 :data:`~repro.api.registry.SIMULATOR_REGISTRY`, so new measurement engines
 plug in by registration instead of new ``if``/``elif`` arms in every sampler.
@@ -41,7 +41,8 @@ with general delays (glitches included) from the state engine's settled
 network, then advances the state engine identically so both agree on the
 next present state.  Every energy comes from integer toggle counts per
 capacitance class (:class:`~repro.circuits.program.CapacitanceClasses`), so
-a lane measured alone equals the same lane measured in any ensemble.
+a lane measured alone equals the same lane measured in any ensemble — which
+is also why a single-chain (width-1) measurement reads lane 0 alone.
 """
 
 from __future__ import annotations
@@ -54,25 +55,31 @@ from repro.api.registry import register_simulator
 from repro.simulation.delay_models import DelayModel, make_delay_model
 from repro.simulation.event_driven import EventDrivenSimulator
 
-__all__ = [
-    "CompiledEventDrivenPowerEngine",
-    "CompiledZeroDelayPowerEngine",
-    "EventDrivenPowerEngine",
-    "ZeroDelayPowerEngine",
-]
+__all__ = ["EventDrivenPowerEngine", "ZeroDelayPowerEngine"]
 
 
-@register_simulator("zero-delay")
+def _lane0_cycle(engine: EventDrivenSimulator, state_engine, pattern) -> float:
+    """Re-simulate lane 0 of *state_engine*'s next cycle on a width-1 scalar *engine*.
+
+    The scalar engine keeps bit 0 of every entry it is given: lane 0 of the
+    first settled word (or packed integer) of each net, and of the first
+    pattern word (or packed integer) of each input.  No per-net lane
+    integers are built.
+    """
+    words = state_engine.words_view()
+    engine.load_settled_state(state_engine.values if words is None else words[:, 0].tolist())
+    return engine.cycle(pattern[:, 0].tolist() if isinstance(pattern, np.ndarray) else pattern)
+
+
+# The per-circuit generated-C engines of release 1.3 ("compiled",
+# "zero-delay-compiled", "event-driven-compiled") were bit-identical to these
+# two; their names stay loadable as aliases so saved job specs keep running.
+@register_simulator("zero-delay", aliases=("compiled", "zero-delay-compiled"))
 class ZeroDelayPowerEngine:
     """Functional-transition measurement on the state engine's own sweep."""
 
     #: No engine of its own — the state engine is the measurement engine.
     engine = None
-
-    #: Simulator classes may pin the *state engine's* backend: the samplers
-    #: honour this when the configured backend is "auto" (an explicit user
-    #: choice always wins).  ``None`` keeps the width-based auto pick.
-    state_backend = None
 
     def __init__(
         self,
@@ -87,6 +94,9 @@ class ZeroDelayPowerEngine:
         self.program = CircuitProgram.of(program)
 
     def measure_lanes(self, state_engine, pattern) -> np.ndarray:
+        if state_engine.width == 1:
+            # One chain: one bit column, no lane resolution.
+            return np.array([state_engine.step_and_measure_lane0(pattern)])
         return state_engine.step_and_measure_lanes(pattern)
 
     def measure_total(self, state_engine, pattern) -> float:
@@ -104,11 +114,9 @@ class ZeroDelayPowerEngine:
         return switched, switched
 
 
-@register_simulator("event-driven")
+@register_simulator("event-driven", aliases=("event-driven-compiled",))
 class EventDrivenPowerEngine:
     """General-delay re-simulation of the sampled cycle (glitches included)."""
-
-    state_backend = None
 
     def __init__(
         self,
@@ -134,27 +142,33 @@ class EventDrivenPowerEngine:
         )
         self._lane0_engine = self.engine if self.engine.backend == "scalar" else None
 
-    def _settled_state(self, state_engine):
-        """The state engine's settled network, in the cheapest shared form."""
-        if self.engine.backend != "scalar":
-            words = state_engine.words_view()
-            if words is not None:
-                return words
-        return state_engine.values
+    def _load_settled(self, state_engine) -> None:
+        """Load the state engine's settled network (vectorized engine only)."""
+        words = state_engine.words_view()
+        self.engine.load_settled_state(state_engine.values if words is None else words)
+
+    def _cycle_lanes(self, state_engine, pattern) -> np.ndarray:
+        # A single chain runs on the scalar engine, which adopts lane 0 only.
+        if self.engine.backend == "scalar":
+            return np.array([_lane0_cycle(self.engine, state_engine, pattern)])
+        self._load_settled(state_engine)
+        return self.engine.cycle_lanes(pattern)
 
     def measure_lanes(self, state_engine, pattern) -> np.ndarray:
         # Re-simulate the same cycle with general delays for every chain:
         # load the settled zero-delay network, run the event-driven cycle
         # (counts glitches per lane), and advance the cheap state engine
         # identically so both engines agree on the next present state.
-        self.engine.load_settled_state(self._settled_state(state_engine))
-        switched = self.engine.cycle_lanes(pattern)
+        switched = self._cycle_lanes(state_engine, pattern)
         state_engine.step(pattern)
         return switched
 
     def measure_total(self, state_engine, pattern) -> float:
-        self.engine.load_settled_state(self._settled_state(state_engine))
-        switched = self.engine.cycle(pattern)
+        if self.engine.backend == "scalar":
+            switched = _lane0_cycle(self.engine, state_engine, pattern)
+        else:
+            self._load_settled(state_engine)
+            switched = self.engine.cycle(pattern)
         state_engine.step(pattern)
         return switched
 
@@ -171,11 +185,7 @@ class EventDrivenPowerEngine:
                 node_capacitance=engine.node_capacitance,
                 backend="scalar",
             )
-        self._lane0_engine.load_settled_state(state_engine.lane_values(0))
-        # The scalar engine reads bit 0 of each entry: lane 0 of packed ints
-        # and of the first pattern word alike.
-        lane0 = pattern[:, 0].tolist() if isinstance(pattern, np.ndarray) else pattern
-        switched = self._lane0_engine.cycle(lane0)
+        switched = _lane0_cycle(self._lane0_engine, state_engine, pattern)
         state_engine.step(pattern)
         return switched
 
@@ -185,57 +195,6 @@ class EventDrivenPowerEngine:
         # transitions.  Advancing the state engine with step_and_measure_lanes
         # keeps the state trajectory identical to measure_lanes — only the
         # extra per-lane readout differs.
-        self.engine.load_settled_state(self._settled_state(state_engine))
-        switched = self.engine.cycle_lanes(pattern)
+        switched = self._cycle_lanes(state_engine, pattern)
         control = state_engine.step_and_measure_lanes(pattern)
         return switched, control
-
-
-@register_simulator("compiled", aliases=("zero-delay-compiled",))
-class CompiledZeroDelayPowerEngine(ZeroDelayPowerEngine):
-    """Zero-delay measurement on the per-program codegen sweep.
-
-    Identical measurement semantics (and bit-identical samples) to
-    ``"zero-delay"`` — the only difference is that the samplers build the
-    shared state engine with ``backend="compiled"``, so every sweep runs the
-    straight-line C generated for this circuit
-    (:mod:`repro.simulation.codegen`) instead of the interpreted tables.
-    Environments without a C compiler (or with ``REPRO_NATIVE=0``) degrade
-    to the ordinary numpy sweep transparently.
-    """
-
-    state_backend = "compiled"
-
-
-@register_simulator("event-driven-compiled")
-class CompiledEventDrivenPowerEngine(EventDrivenPowerEngine):
-    """Event-driven measurement with codegen frontier evaluation.
-
-    Same glitch-aware cycle re-simulation as ``"event-driven"``, but both
-    the shared zero-delay state engine and the event-driven measurement
-    engine ask for the per-program codegen kernel, with the same transparent
-    fallback chain as the zero-delay variant.
-    """
-
-    state_backend = "compiled"
-
-    def __init__(
-        self,
-        program,
-        width: int = 1,
-        node_capacitance: Sequence[float] | np.ndarray | None = None,
-        delay_model: DelayModel | str | None = None,
-        backend: str = "auto",
-    ):
-        # "auto"/"numpy" would resolve to the plain numpy engine; this
-        # simulator exists to pin the codegen path.  An explicit "scalar"
-        # (width-1 state restore paths) is preserved.
-        if backend in ("auto", "numpy"):
-            backend = "compiled"
-        super().__init__(
-            program,
-            width=width,
-            node_capacitance=node_capacitance,
-            delay_model=delay_model,
-            backend=backend,
-        )

@@ -7,19 +7,15 @@ words — lane *k* of net *i* lives in bit ``k % 64`` of ``words[i, k // 64]``
 — so the whole Monte Carlo ensemble advances through one gate sweep with
 C-speed bitwise operations instead of per-gate Python big-int arithmetic.
 
-Three sweep strategies share the same word tables:
+Two sweep strategies share the same word tables:
 
+* **native kernel** (see :mod:`repro.simulation._native`): a small C routine
+  runs the topologically ordered gate list directly over the flat word
+  buffer — the production sweep whenever a C compiler is available;
 * **grouped numpy** (always available): gates are levelized and grouped by
   reduction kind (AND-like, OR-like, XOR-like); each group is evaluated with
   one gather / one ``ufunc.reduce`` / one scatter, so the interpreter cost is
-  per *level group*, not per gate;
-* **generic compiled kernel** (optional, see :mod:`repro.simulation._native`):
-  a small C routine runs the topologically ordered gate list directly over the
-  same flat word buffer, removing the remaining per-group dispatch overhead;
-* **per-program codegen kernel** (optional, see
-  :mod:`repro.simulation.codegen`, requested via ``sweep="codegen"``): C
-  generated *for this specific circuit* with every gate a literal expression,
-  removing even the generic kernel's per-gate opcode dispatch and CSR gather.
+  per *level group*, not per gate.
 
 Transition counting compares consecutive settled states and counts toggles
 per capacitance class (:class:`~repro.circuits.program.CapacitanceClasses`):
@@ -102,13 +98,10 @@ class VectorizedZeroDelaySimulator:
 
     backend = "numpy"
 
-    #: Sweep strategy choices.  "auto" is the classic numpy backend: the
-    #: generic native kernel when available, else grouped numpy.  "codegen"
-    #: (the ``compiled`` facade backend) asks for the per-program generated
-    #: kernel first and degrades codegen -> native -> groups, so a missing
-    #: compiler never fails construction.  "native" and "groups" pin the
-    #: generic kernel / pure-numpy strategies (tests and benchmarks).
-    SWEEPS = ("auto", "codegen", "native", "groups")
+    #: Sweep strategy choices.  "auto" runs the native kernel when it loads,
+    #: else grouped numpy; "groups" pins the pure-numpy strategy (tests and
+    #: benchmarks).
+    SWEEPS = ("auto", "groups")
 
     def __init__(
         self,
@@ -162,21 +155,13 @@ class VectorizedZeroDelaySimulator:
         self._latch_d_flat = (self._latch_d_rows[:, None] * num_words + word_span).reshape(-1)
 
         self._const_rows = self.program.const_rows
-        # The compiled kernels and the grouped-numpy schedule are alternative
+        # The native kernel and the grouped-numpy schedule are alternative
         # sweep strategies; only materialise the (index-table heavy) groups
         # when no kernel is available.
         if sweep not in self.SWEEPS:
             raise ValueError(f"unknown sweep strategy {sweep!r}; choose from {self.SWEEPS}")
-        self._native_call = None
-        self.sweep = "groups"
-        if sweep == "codegen":
-            self._native_call = self._build_codegen_call()
-            if self._native_call is not None:
-                self.sweep = "codegen"
-        if self._native_call is None and sweep in ("auto", "codegen", "native"):
-            self._native_call = self._build_native_call()
-            if self._native_call is not None:
-                self.sweep = "native"
+        self._native_call = None if sweep == "groups" else self._build_native_call()
+        self.sweep = "groups" if self._native_call is None else "native"
         self._groups = self._build_groups() if self._native_call is None else None
         self._prev = np.empty_like(self.words)
         self._diff = np.empty_like(self.words)
@@ -208,15 +193,6 @@ class VectorizedZeroDelaySimulator:
             )
         return groups
 
-    def _build_codegen_call(self):
-        # Imported lazily: codegen imports from this package at module scope.
-        from repro.simulation import codegen
-
-        kernel = codegen.load_program_kernel(self.program)
-        if kernel is None:
-            return None
-        return codegen.bind_sweep(kernel, self._flat, int(self.num_words), self._mask_words)
-
     def _build_native_call(self):
         kernel = _native.load_kernel()
         if kernel is None:
@@ -241,7 +217,7 @@ class VectorizedZeroDelaySimulator:
         )
 
     def _bind_native_counts(self) -> None:
-        """Count per-lane class toggles in the generic kernel (any sweep but "groups")."""
+        """Count per-lane class toggles in the native kernel (any sweep but "groups")."""
         kernel = _native.load_kernel()
         if kernel is None:
             return

@@ -30,28 +30,18 @@ changes nothing and counts nothing.  The union-activity engine therefore does
 transitions of the scalar engine, a property pinned by the equivalence tests
 in ``tests/property_based``.
 
-Two refinements ride on that invariant:
-
-* **Wavefront compaction**: before re-evaluating the frontier, the pending
-  XOR is inspected per value *word* (64 lanes); word columns whose pending
-  XOR is all-zero carry no new event anywhere in their 64 lanes, so the
-  evaluation, scheduling and apply passes of the instant are restricted to
-  the still-active columns.  Glitch tails typically collapse onto a few
-  lanes, so wide ensembles skip most of the value words of late instants.
-  Disable with ``wavefront_compaction=False`` (the engine then always
-  processes every word, as before) — results are bit-identical either way.
-* **Exact lane energies**: transitions are counted as *integers* per
-  ``(net, lane)`` during the cycle, summed per capacitance class when it
-  ends, and converted to farads by
-  :meth:`~repro.circuits.program.CapacitanceClasses.lane_energies`, which
-  adds the class products in one fixed order, lane by lane.  (A float
-  ``capacitance @ counts`` product is not enough: a BLAS ``gemv`` rounds
-  each column differently depending on how many columns share the call.)
-  So a lane's energy depends only on its own transitions — not on the
-  event order, the width, or which other lanes share the engine — and it
-  equals the scalar engine's value bit for bit.  That is what lets the
-  process-sharded sampler split an ensemble across engine instances, and
-  interval selection measure lane 0 alone, with bit-identical results.
+Lane energies are exact: transitions are counted as *integers* per
+``(net, lane)`` during the cycle, summed per capacitance class when it ends,
+and converted to farads by
+:meth:`~repro.circuits.program.CapacitanceClasses.lane_energies`, which adds
+the class products in one fixed order, lane by lane.  (A float
+``capacitance @ counts`` product is not enough: a BLAS ``gemv`` rounds each
+column differently depending on how many columns share the call.)  So a
+lane's energy depends only on its own transitions — not on the event order,
+the width, or which other lanes share the engine — and it equals the scalar
+engine's value bit for bit.  That is what lets the process-sharded sampler
+split an ensemble across engine instances, and interval selection measure
+lane 0 alone, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -98,15 +88,12 @@ class VectorizedEventDrivenSimulator:
         node_capacitance: Sequence[float] | np.ndarray | None = None,
         width: int = 1,
         schedule=None,
-        wavefront_compaction: bool = True,
-        codegen: bool = False,
     ):
         # Imported lazily: the program module imports from repro.simulation.
         from repro.circuits.program import CircuitProgram, node_capacitance_array
 
         if width < 1:
             raise ValueError("width must be at least 1")
-        self.wavefront_compaction = bool(wavefront_compaction)
         self.program = CircuitProgram.of(circuit)
         circuit = self.circuit = self.program.circuit
         self.width = width
@@ -141,18 +128,7 @@ class VectorizedEventDrivenSimulator:
         self._input_rows = np.asarray(circuit.primary_inputs, dtype=np.intp)
 
         self._adopt_program_tables(schedule)
-        #: How gate frontiers evaluate: "codegen" (per-program generated C),
-        #: "native" (generic C kernel) or "groups" (pure numpy); requesting
-        #: codegen degrades down this chain when kernels are unavailable.
-        self.eval_mode = "groups"
-        self._cg_sweep = None
-        self._native_eval = None
-        if codegen:
-            self._native_eval = self._build_codegen_eval()
-        if self._native_eval is None:
-            self._native_eval = self._build_native_eval()
-            if self._native_eval is not None:
-                self.eval_mode = "native"
+        self._native_eval = self._build_native_eval()
 
         self._counts = np.zeros(num_nets, dtype=np.int64)
         # Per-(net, lane) transition counts of the cycle in flight.  uint16
@@ -162,7 +138,7 @@ class VectorizedEventDrivenSimulator:
         # `_touched_rows`.
         self._lane_counts = np.zeros((num_nets, width), dtype=np.uint16)
         self._touched_rows: list[np.ndarray] = []
-        self._wheel: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]] = {}
+        self._wheel: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._times: list[int] = []
 
         self._settled = False
@@ -188,7 +164,6 @@ class VectorizedEventDrivenSimulator:
         self._gate_level = program.gate_level
         self._const_rows = program.const_rows
         self._max_arity = program.max_arity
-        self._padded_rows = program.padded_rows
         self._in_ptr = program.in_ptr
         self._in_rows = program.in_rows
         #: With no zero-delay gate anywhere there can be no intra-instant
@@ -204,37 +179,9 @@ class VectorizedEventDrivenSimulator:
         self._fanout_ptr = program.fanout_ptr
         self._fanout_idx = program.fanout_idx
 
-    def _build_codegen_eval(self):
-        # Imported lazily: codegen imports from this package at module scope.
-        from repro.simulation import codegen
-
-        kernel = codegen.load_program_kernel(self.program)
-        if kernel is None:
-            return None
-        self.eval_mode = "codegen"
-        # settle()'s full sweep can skip the frontier machinery entirely and
-        # run the straight-line level schedule baked into the kernel.
-        self._cg_sweep = codegen.bind_sweep(
-            kernel, self._flat, int(self.num_words), self._mask_words
-        )
-        flat = self._flat
-        num_words = int(self.num_words)
-        mask = self._mask_words
-
-        def evaluate(gate_ids: np.ndarray, out: np.ndarray, cols: np.ndarray | None) -> bool:
-            if cols is None:
-                kernel.cg_ed_eval(flat, num_words, gate_ids, gate_ids.size, mask, out)
-            else:
-                kernel.cg_ed_eval_cols(
-                    flat, num_words, gate_ids, gate_ids.size, mask, cols, cols.size, out
-                )
-            return True
-
-        return evaluate
-
     def _build_native_eval(self):
         kernel = _native.load_kernel()
-        if kernel is None or not hasattr(kernel, "ed_eval"):
+        if kernel is None:
             return None
         flat = self._flat
         num_words = int(self.num_words)
@@ -246,22 +193,11 @@ class VectorizedEventDrivenSimulator:
         # Keep every table alive on the instance; the closure passes the
         # varying frontier/output arrays per call.
         self._native_tables = (ops_invert, in_ptr, in_rows, mask)
-        has_cols = hasattr(kernel, "ed_eval_cols")
 
-        def evaluate(gate_ids: np.ndarray, out: np.ndarray, cols: np.ndarray | None) -> bool:
-            if cols is None:
-                kernel.ed_eval(
-                    flat, num_words, gate_ids, gate_ids.size, ops_invert, in_ptr, in_rows,
-                    mask, out,
-                )
-                return True
-            if not has_cols:
-                return False
-            kernel.ed_eval_cols(
-                flat, num_words, gate_ids, gate_ids.size, ops_invert, in_ptr, in_rows,
-                mask, cols, cols.size, out,
+        def evaluate(gate_ids: np.ndarray, out: np.ndarray) -> None:
+            kernel.ed_eval(
+                flat, num_words, gate_ids, gate_ids.size, ops_invert, in_ptr, in_rows, mask, out
             )
-            return True
 
         return evaluate
 
@@ -396,41 +332,28 @@ class VectorizedEventDrivenSimulator:
             words[index] = pack_int_to_words(int(value) & self.mask, self.num_words)
         return words
 
-    def _evaluate_gates(self, gates: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-        """Re-evaluate *gates* (sorted non-const ids); return their output words.
-
-        With ``cols=None`` all ``num_words`` value words are evaluated
-        (shape ``(len(gates), num_words)``); otherwise only the given word
-        columns (shape ``(len(gates), len(cols))``) — the wavefront-compacted
-        path, where quiescent 64-lane words are skipped.
-        """
-        num_cols = self.num_words if cols is None else cols.size
-        out = np.empty((gates.size, num_cols), dtype=np.uint64)
-        if self._native_eval is not None and self._native_eval(gates, out, cols):
+    def _evaluate_gates(self, gates: np.ndarray) -> np.ndarray:
+        """Re-evaluate *gates* (sorted non-const ids); return their ``(len(gates), W)`` words."""
+        out = np.empty((gates.size, self.num_words), dtype=np.uint64)
+        if self._native_eval is not None:
+            self._native_eval(gates, out)
             return out
         flat = self._flat
         ops = self._gate_op[gates]
-        mask = self._mask_words if cols is None else self._mask_words[cols]
         for opcode, reducer in _REDUCERS.items():
             member = ops == opcode
             if not member.any():
                 continue
             selected = gates[member]
-            if cols is None:
-                gathered = flat[self._gate_gather[selected]].reshape(
-                    selected.size, self._max_arity, self.num_words
-                )
-            else:
-                gather = self._padded_rows[selected][:, :, None] * self.num_words + cols
-                gathered = flat[gather.reshape(-1)].reshape(
-                    selected.size, self._max_arity, num_cols
-                )
+            gathered = flat[self._gate_gather[selected]].reshape(
+                selected.size, self._max_arity, self.num_words
+            )
             acc = reducer.reduce(gathered, axis=1)
             invert = self._gate_invert[selected]
             if invert.any():
                 np.bitwise_xor(acc, invert[:, None], out=acc)
                 if self._partial_last_word:
-                    np.bitwise_and(acc, mask, out=acc)
+                    np.bitwise_and(acc, self._mask_words, out=acc)
             out[member] = acc
         return out
 
@@ -445,22 +368,17 @@ class VectorizedEventDrivenSimulator:
         self.words[self._input_rows] = words
 
     def _full_sweep(self) -> None:
-        if self._cg_sweep is not None:
-            self._cg_sweep()
-            return
         for level_gates in self._levels_all:
             outs = self._evaluate_gates(level_gates)
             self.words[self._gate_out[level_gates]] = outs
 
     # ----------------------------------------------------------------- cycle
-    def _schedule(
-        self, time: int, rows: np.ndarray, vals: np.ndarray, cols: np.ndarray | None
-    ) -> None:
+    def _schedule(self, time: int, rows: np.ndarray, vals: np.ndarray) -> None:
         bucket = self._wheel.get(time)
         if bucket is None:
             self._wheel[time] = bucket = []
             heapq.heappush(self._times, time)
-        bucket.append((rows, vals, cols))
+        bucket.append((rows, vals))
 
     def _fanout_of(self, rows: np.ndarray) -> np.ndarray:
         """Gate ids reading any of *rows* (duplicates possible, unique'd later)."""
@@ -472,111 +390,58 @@ class VectorizedEventDrivenSimulator:
         base = np.repeat(ptr[rows] - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
         return self._fanout_idx[base + np.arange(total, dtype=np.int64)]
 
-    def _apply_rows(
-        self, rows: np.ndarray, vals: np.ndarray, cols: np.ndarray | None
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Apply scheduled values restricted to word columns *cols* (``None`` = all).
+    def _apply_rows(self, rows: np.ndarray, vals: np.ndarray) -> np.ndarray | None:
+        """Apply scheduled values; return the rows whose value changed (``None`` if none).
 
-        Counts per-net and per-``(net, lane)`` transitions and returns
-        ``(changed_rows, active_cols)``: the rows whose value changed and the
-        word columns in which any lane actually changed (``None`` when every
-        column is still active).  Both are ``None`` when nothing changed.
+        Counts per-net and per-``(net, lane)`` transitions.
         """
-        if cols is None:
-            current = self.words[rows]
-        else:
-            current = self.words[np.ix_(rows, cols)]
-        diff = current ^ vals
+        diff = self.words[rows] ^ vals
         changed = diff.any(axis=1)
         if not changed.any():
-            return None, None
+            return None
         rows_changed = rows[changed]
         diff_changed = diff[changed]
-        if cols is None:
-            self.words[rows_changed] = vals[changed]
-        else:
-            self.words[np.ix_(rows_changed, cols)] = vals[changed]
+        self.words[rows_changed] = vals[changed]
         self._counts[rows_changed] += np.bitwise_count(diff_changed).sum(axis=1, dtype=np.int64)
         bits = np.unpackbits(
             np.ascontiguousarray(diff_changed).view(np.uint8).reshape(rows_changed.size, -1),
             axis=1,
             bitorder="little",
         )
-        if cols is None:
-            self._lane_counts[rows_changed] += bits[:, : self.width]
-        else:
-            for index, col in enumerate(cols):
-                low = int(col) * 64
-                high = min(self.width, low + 64)
-                self._lane_counts[rows_changed, low:high] += bits[
-                    :, index * 64 : index * 64 + (high - low)
-                ]
+        self._lane_counts[rows_changed] += bits[:, : self.width]
         self._touched_rows.append(rows_changed)
-
-        active: np.ndarray | None = None
-        if self.wavefront_compaction and self.num_words >= 8:
-            live = diff_changed.any(axis=0)
-            # Restricting to a column subset trades slab indexing for fancy
-            # indexing on every downstream pass, so the word count must be
-            # substantial (>= 8 words, i.e. 512+ lanes) and at most an eighth
-            # of the (remaining) words may still carry events before the
-            # narrow path pays for itself.
-            if 8 * int(live.sum()) <= live.size:
-                active = (
-                    np.flatnonzero(live) if cols is None else cols[live]
-                ).astype(np.int64, copy=False)
-        if active is None and cols is not None:
-            active = cols
-        return rows_changed, active
+        return rows_changed
 
     def _push_levels(self, buckets: dict[int, list], gates: np.ndarray) -> None:
         levels = self._gate_level[gates]
         for level in np.unique(levels):
             buckets.setdefault(int(level), []).append(gates[levels == level])
 
+    def _schedule_outputs(
+        self, time: int, gates: np.ndarray, outs: np.ndarray, ticks: np.ndarray
+    ) -> None:
+        """Schedule each gate's output words ``ticks`` after *time*, one batch per delay."""
+        for tick_delay in np.unique(ticks):
+            member = ticks == tick_delay
+            # Boolean indexing copies, so the scheduled batch owns its rows.
+            self._schedule(
+                time + int(tick_delay),
+                self._gate_out[gates[member]],
+                outs if member.all() else outs[member],
+            )
+
     def _run_instant(self, time: int) -> None:
         batches = self._wheel.pop(time)
-        # Each output row is scheduled at most once per instant, but batches
-        # may carry different column subsets; batches sharing a column set
-        # (the overwhelmingly common case — one instant usually schedules one
-        # subset) merge into a single apply pass.
-        changed: list[np.ndarray] = []
-        col_sets: list[np.ndarray | None] = []
+        # Each output row is scheduled at most once per instant, so the
+        # instant's batches merge into a single apply pass.
         if len(batches) == 1:
-            groups = [(batches[0][2], [batches[0]])]
+            rows, vals = batches[0]
         else:
-            grouped: dict = {}
-            for batch in batches:
-                cols = batch[2]
-                key = None if cols is None else cols.tobytes()
-                grouped.setdefault(key, (cols, []))[1].append(batch)
-            groups = list(grouped.values())
-        for cols, members in groups:
-            if len(members) == 1:
-                rows, vals = members[0][0], members[0][1]
-            else:
-                rows = np.concatenate([batch[0] for batch in members])
-                vals = np.concatenate([batch[1] for batch in members])
-            rows_changed, active = self._apply_rows(rows, vals, cols)
-            if rows_changed is not None:
-                changed.append(rows_changed)
-                col_sets.append(active)
-        if not changed:
+            rows = np.concatenate([batch[0] for batch in batches])
+            vals = np.concatenate([batch[1] for batch in batches])
+        changed_rows = self._apply_rows(rows, vals)
+        if changed_rows is None:
             return
-        changed_rows = changed[0] if len(changed) == 1 else np.concatenate(changed)
-        # Word columns the instant's evaluation has to cover: the union of the
-        # columns that actually changed.  None means every column is active
-        # (the uncompacted fast path).
-        if any(cols is None for cols in col_sets):
-            eval_cols: np.ndarray | None = None
-        else:
-            eval_cols = (
-                col_sets[0]
-                if len(col_sets) == 1
-                else np.unique(np.concatenate(col_sets))
-            )
-            if eval_cols.size == self.num_words:
-                eval_cols = None
         frontier = self._fanout_of(changed_rows)
         if frontier.size == 0:
             return
@@ -586,17 +451,7 @@ class VectorizedEventDrivenSimulator:
             # scheduled — the per-level worklist below exists only for
             # zero-delay gates.
             gates = np.unique(frontier)
-            outs = self._evaluate_gates(gates, eval_cols)
-            ticks = self._gate_tick[gates]
-            for tick_delay in np.unique(ticks):
-                member = ticks == tick_delay
-                # Boolean indexing copies, so the scheduled batch owns its rows.
-                self._schedule(
-                    time + int(tick_delay),
-                    self._gate_out[gates[member]],
-                    outs if member.all() else outs[member],
-                    eval_cols,
-                )
+            self._schedule_outputs(time, gates, self._evaluate_gates(gates), self._gate_tick[gates])
             return
         buckets: dict[int, list] = {}
         self._push_levels(buckets, frontier)
@@ -604,28 +459,18 @@ class VectorizedEventDrivenSimulator:
             level = min(buckets)
             arrays = buckets.pop(level)
             gates = np.unique(arrays[0] if len(arrays) == 1 else np.concatenate(arrays))
-            outs = self._evaluate_gates(gates, eval_cols)
+            outs = self._evaluate_gates(gates)
             ticks = self._gate_tick[gates]
             zero = ticks == 0
             if zero.any():
-                applied, _ = self._apply_rows(self._gate_out[gates[zero]], outs[zero], eval_cols)
+                applied = self._apply_rows(self._gate_out[gates[zero]], outs[zero])
                 if applied is not None:
                     cascade = self._fanout_of(applied)
                     if cascade.size:
                         self._push_levels(buckets, cascade)
             delayed = ~zero
             if delayed.any():
-                delayed_gates = gates[delayed]
-                delayed_outs = outs[delayed]
-                delayed_ticks = ticks[delayed]
-                for tick_delay in np.unique(delayed_ticks):
-                    member = delayed_ticks == tick_delay
-                    self._schedule(
-                        time + int(tick_delay),
-                        self._gate_out[delayed_gates[member]],
-                        delayed_outs[member],
-                        eval_cols,
-                    )
+                self._schedule_outputs(time, gates[delayed], outs[delayed], ticks[delayed])
 
     def cycle_lanes(self, pattern) -> np.ndarray:
         """Simulate one clock cycle; return each lane's switched capacitance.
@@ -660,7 +505,7 @@ class VectorizedEventDrivenSimulator:
             else np.empty((0, self.num_words), dtype=np.uint64)
         )
         if rows.size:
-            self._schedule(0, rows, vals, None)
+            self._schedule(0, rows, vals)
 
         while self._times:
             self._run_instant(heapq.heappop(self._times))

@@ -12,18 +12,21 @@ topologically ordered gates, so the simulator doubles as:
 
 Two interchangeable backends implement the lane storage:
 
-* ``"bigint"`` — every net is a Python integer whose bit *k* is lane *k*.
-  Lowest constant overhead, ideal for narrow ensembles (especially the
-  single-lane state engine of the two-phase sampler).
 * ``"numpy"`` — every net is a ``(num_words,)`` uint64 array (64 lanes per
   word); see :class:`~repro.simulation.vectorized.VectorizedZeroDelaySimulator`.
-  The gate sweep runs as grouped numpy bitwise operations (optionally a
-  compiled kernel), which wins decisively for wide ensembles.
+  The gate sweep runs in the runtime-compiled native kernel, or as grouped
+  numpy bitwise operations without a C compiler.  This is the production
+  engine at every width.
+* ``"bigint"`` — every net is a Python integer whose bit *k* is lane *k*.
+  It is the narrow-ensemble fallback when no C compiler is available (the
+  grouped-numpy sweep needs wide ensembles to amortise its dispatch
+  overhead) and the reference oracle the equivalence tests pin the numpy
+  engine against.
 
-``backend="auto"`` (the default) keeps the historical big-int behaviour for
-narrow simulators and transparently switches to the vectorized engine above
-a width threshold, so existing callers pick up the fast path without code
-changes.
+``backend="auto"`` (the default) resolves to ``"numpy"`` whenever the native
+kernel loads; without it, to ``"bigint"`` below
+:data:`AUTO_NUMPY_WIDTH_PORTABLE` lanes.  Snapshots (:meth:`get_state`) of
+either backend restore into either backend.
 
 Power accounting follows the zero-delay convention: the energy of clock cycle
 *t* is proportional to the capacitance-weighted number of nets whose settled
@@ -42,21 +45,15 @@ from typing import Sequence
 import numpy as np
 
 from repro.simulation.backends import resolve_backend_choice
+from repro.utils.bitpack import pack_int_to_words, unpack_words_to_int
 from repro.utils.rng import RandomSource, spawn_rng
 
-#: Backends accepted by :class:`ZeroDelaySimulator`.  ``"compiled"`` is the
-#: numpy engine driving the per-program codegen kernel
-#: (:mod:`repro.simulation.codegen`); it degrades to the generic kernel /
-#: grouped numpy when no compiler is available, so its results are always
-#: bit-identical to ``"numpy"``.
-BACKENDS = ("auto", "bigint", "numpy", "compiled")
+#: Backends accepted by :class:`ZeroDelaySimulator`.
+BACKENDS = ("auto", "bigint", "numpy")
 
-#: ``backend="auto"`` switches to the numpy engine at this width when the
-#: compiled sweep kernel is available ...
-AUTO_NUMPY_WIDTH_NATIVE = 64
-
-#: ... and at this width when only the grouped-numpy sweep is available
-#: (pure-numpy sweeps need wider ensembles to amortise dispatch overhead).
+#: Without the native kernel, ``backend="auto"`` switches to the numpy engine
+#: at this width (pure-numpy sweeps need wide ensembles to amortise their
+#: dispatch overhead); with the kernel it picks numpy at every width.
 AUTO_NUMPY_WIDTH_PORTABLE = 256
 
 
@@ -64,7 +61,26 @@ def _auto_numpy_threshold() -> int:
     """Auto-switch width; probed lazily so explicit backends never touch _native."""
     from repro.simulation._native import native_kernel_available
 
-    return AUTO_NUMPY_WIDTH_NATIVE if native_kernel_available() else AUTO_NUMPY_WIDTH_PORTABLE
+    return 1 if native_kernel_available() else AUTO_NUMPY_WIDTH_PORTABLE
+
+
+def snapshot_words(state: dict, num_words: int) -> np.ndarray:
+    """The ``(num_nets, num_words)`` uint64 lane words of a snapshot of either backend.
+
+    :meth:`ZeroDelaySimulator.get_state` snapshots hold lane-packed integers
+    (``"bigint"``) or lane words (``"numpy"``); this is the lossless
+    conversion :meth:`ZeroDelaySimulator.set_state` and the sharded sampler's
+    merge/split share.
+    """
+    if state.get("backend") == "numpy":
+        return np.asarray(state["words"], dtype=np.uint64)
+    if state.get("backend") == "bigint":
+        values = state["values"]
+        words = np.zeros((len(values), num_words), dtype=np.uint64)
+        for row, value in enumerate(values):
+            words[row] = pack_int_to_words(value, num_words)
+        return words
+    raise ValueError(f"cannot restore a {state.get('backend')!r} snapshot")
 
 
 def resolve_backend(backend: str, width: int) -> str:
@@ -93,11 +109,9 @@ class ZeroDelaySimulator:
         measuring switched capacitance.  When omitted, every net weighs 1.0
         (the simulator then reports toggle counts instead of farads).
     backend:
-        ``"bigint"``, ``"numpy"``, ``"compiled"`` or ``"auto"`` (pick by
-        width; see module docstring).  All backends are reproducible from the
-        same seed and produce identical net values and transition counts;
-        ``"compiled"`` only differs from ``"numpy"`` in how the gate sweep
-        executes (per-circuit generated C when available).
+        ``"bigint"``, ``"numpy"`` or ``"auto"`` (see module docstring).  Both
+        backends are reproducible from the same seed and produce identical
+        net values and transition counts.
     """
 
     def __init__(
@@ -116,14 +130,11 @@ class ZeroDelaySimulator:
         circuit = self.program.circuit
         self.backend = resolve_backend(backend, width)
         self._vec = None
-        if self.backend in ("numpy", "compiled"):
+        if self.backend == "numpy":
             from repro.simulation.vectorized import VectorizedZeroDelaySimulator
 
             self._vec = VectorizedZeroDelaySimulator(
-                self.program,
-                width=width,
-                node_capacitance=node_capacitance,
-                sweep="codegen" if self.backend == "compiled" else "auto",
+                self.program, width=width, node_capacitance=node_capacitance
             )
             self.circuit = circuit
             self.width = width
@@ -205,17 +216,27 @@ class ZeroDelaySimulator:
         }
 
     def set_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`get_state` (same backend only)."""
+        """Restore a snapshot produced by :meth:`get_state` on either backend.
+
+        A snapshot of the other backend is converted losslessly (lane-packed
+        integers <-> uint64 lane words), so a checkpoint resumes whichever
+        engine ``backend="auto"`` picks on this host.
+        """
         if self._vec is not None:
+            if state.get("backend") != "numpy":
+                words = snapshot_words(state, self._vec.num_words)
+                state = {**state, "backend": "numpy", "words": words}
             self._vec.set_state(state)
             return
-        if state.get("backend") != "bigint":
-            raise ValueError(
-                f"cannot restore a {state.get('backend')!r} snapshot into a bigint simulator"
-            )
-        if len(state["values"]) != self.circuit.num_nets:
+        if state.get("backend") == "numpy":
+            values = [unpack_words_to_int(row) & self.mask for row in state["words"]]
+        elif state.get("backend") == "bigint":
+            values = list(state["values"])
+        else:
+            raise ValueError(f"cannot restore a {state.get('backend')!r} snapshot")
+        if len(values) != self.circuit.num_nets:
             raise ValueError("snapshot does not match this circuit")
-        self._values = list(state["values"])
+        self._values = values
         self._settled = state["settled"]
         self._cycles = state["cycles"]
 
@@ -279,8 +300,6 @@ class ZeroDelaySimulator:
             return
         if len(latch_words) != self.circuit.num_latches:
             raise ValueError(f"expected {self.circuit.num_latches} latch rows")
-        from repro.utils.bitpack import unpack_words_to_int
-
         for q_id, row in zip(self.circuit.latch_q, latch_words):
             self._values[q_id] = unpack_words_to_int(np.asarray(row, dtype=np.uint64)) & self.mask
         self._settled = False

@@ -47,12 +47,10 @@ from repro.api.events import (
     SampleProgress,
 )
 from repro.api.registry import register_estimator
-from repro.core.batch_sampler import BatchPowerSampler
 from repro.core.config import EstimationConfig
 from repro.core.dipe import DipeEstimator
 from repro.core.interval import select_independence_interval
 from repro.core.results import PowerEstimate
-from repro.core.sampler import PowerSampler
 from repro.netlist.netlist import Netlist
 from repro.simulation.compiled import CompiledCircuit
 from repro.stats.stopping import make_stopping_criterion
@@ -116,11 +114,6 @@ class ControlVariateEstimator(DipeEstimator):
             raise ValueError("cheap_cycles must be at least 2")
         super().__init__(circuit, stimulus=stimulus, config=config, rng=rng)
         self.cheap_cycles = cheap_cycles
-        if isinstance(self.sampler, PowerSampler):
-            # num_chains == 1 would build the single-chain sampler, which has
-            # no control-measurement path; the batch sampler at width 1 is
-            # its drop-in ensemble counterpart.
-            self.sampler = BatchPowerSampler(self.circuit, self.stimulus, self.config, rng=rng)
         self.sample_group_width = self.sampler.num_chains
         # Stopping operates on adjusted sweep means, so the min-samples floor
         # counts sweeps (raw floor scaled down by the sweep width).

@@ -7,7 +7,6 @@ from repro.core.baselines import ConsecutiveCycleEstimator, FixedWarmupEstimator
 from repro.core.batch_sampler import BatchPowerSampler
 from repro.core.config import EstimationConfig
 from repro.core.dipe import DipeEstimator
-from repro.core.sampler import PowerSampler
 from repro.power.reference import estimate_reference_power
 from repro.stimulus.random_inputs import BernoulliStimulus
 
@@ -76,11 +75,9 @@ class TestBatchPowerSampler:
     def test_ensemble_mean_matches_single_chain_mean(self, s27_circuit):
         config = EstimationConfig(warmup_cycles=32)
         batch = _batch(s27_circuit, chains=64, config=config, rng=1)
-        single = PowerSampler(
-            s27_circuit, BernoulliStimulus(s27_circuit.num_inputs, 0.5), config, rng=2
-        )
+        single = _batch(s27_circuit, chains=1, config=config, rng=2)
         batch_mean = float(np.mean([batch.next_samples(2) for _ in range(100)]))
-        single_mean = float(np.mean([single.next_sample(2) for _ in range(400)]))
+        single_mean = float(np.mean([single.next_samples(2)[0] for _ in range(400)]))
         assert batch_mean == pytest.approx(single_mean, rel=0.15)
 
 
@@ -150,10 +147,12 @@ class TestEstimatorWiring:
 class TestEventDrivenChains:
     """Multi-chain sampling composed with the glitch-aware power engine."""
 
-    def _event_batch(self, circuit, chains, rng=0, config=None):
+    def _event_batch(self, circuit, chains, rng=0, config=None, backend=None):
         config = config or EstimationConfig(warmup_cycles=8, power_simulator="event-driven")
         stimulus = BernoulliStimulus(circuit.num_inputs, 0.5)
-        return BatchPowerSampler(circuit, stimulus, config, rng=rng, num_chains=chains)
+        return BatchPowerSampler(
+            circuit, stimulus, config, rng=rng, num_chains=chains, backend=backend
+        )
 
     def test_event_driven_batch_shapes(self, s27_circuit):
         sampler = self._event_batch(s27_circuit, chains=16)
@@ -161,15 +160,36 @@ class TestEventDrivenChains:
         assert switched.shape == (16,)
         assert np.all(switched >= 0.0)
 
-    def test_single_chain_event_batch_matches_power_sampler(self, s27_circuit):
-        config = EstimationConfig(warmup_cycles=8, power_simulator="event-driven")
-        single = PowerSampler(
-            s27_circuit, BernoulliStimulus(s27_circuit.num_inputs, 0.5), config, rng=11
+    def test_single_chain_word_state_engine_feeds_scalar_event_engine(self, s27_circuit):
+        """One chain on the word-sliced state engine: lane 0 drives the scalar engine.
+
+        The numpy state engine hands the power engine ``(inputs, words)``
+        patterns; the width-1 scalar event engine must read lane 0 of them
+        exactly as it reads the bigint engine's packed integers.
+        """
+        words = self._event_batch(s27_circuit, chains=1, rng=11, backend="numpy")
+        ints = self._event_batch(s27_circuit, chains=1, rng=11, backend="bigint")
+        assert words.backend == "numpy" and ints.backend == "bigint"
+        for _ in range(6):
+            assert np.array_equal(words.next_samples(2), ints.next_samples(2))
+            assert np.array_equal(words.measure_cycle(), ints.measure_cycle())
+        assert words.measure_cycle_total() == ints.measure_cycle_total()
+        assert words.collect_sequence(1, 8) == ints.collect_sequence(1, 8)
+
+    def test_single_chain_adaptive_event_driven_on_numpy_backend(self, s27_circuit):
+        """Adaptive runs start at one chain; the word-sliced backend must not crash."""
+        config = EstimationConfig(
+            randomness_sequence_length=64,
+            min_samples=64,
+            max_samples=2000,
+            warmup_cycles=8,
+            power_simulator="event-driven",
+            adaptive_chains=True,
+            max_chains=8,
+            simulation_backend="numpy",
         )
-        batch = self._event_batch(s27_circuit, chains=1, rng=11, config=config)
-        expected = [single.next_sample(2) for _ in range(15)]
-        actual = [float(batch.next_samples(2)[0]) for _ in range(15)]
-        assert actual == expected
+        estimate = DipeEstimator(s27_circuit, config=config, rng=1).estimate()
+        assert estimate.average_power_w > 0
 
     def test_event_chains_at_least_zero_delay_chains(self, s27_circuit):
         """Glitches only add switched capacitance, chain for chain."""
@@ -348,3 +368,28 @@ class TestAdaptiveChains:
         target.set_state(snapshot)
         assert target.num_chains == 16
         assert np.array_equal(target.next_samples(1), expected)
+
+
+class TestCheckpointAcrossBackends:
+    """A sampler checkpoint written on one zero-delay backend resumes on the other.
+
+    Checkpoints from hosts (or releases) where ``auto`` picked bigint must
+    resume where it now picks numpy, and the other way round.
+    """
+
+    @pytest.mark.parametrize("chains", (1, 130))
+    @pytest.mark.parametrize("source, target", (("bigint", "numpy"), ("numpy", "bigint")))
+    @pytest.mark.parametrize("power_simulator", ("zero-delay", "event-driven"))
+    def test_resume_is_bit_identical(self, s298_circuit, chains, source, target, power_simulator):
+        config = EstimationConfig(warmup_cycles=8, power_simulator=power_simulator)
+        writer = _batch(s298_circuit, chains=chains, config=config, rng=3, backend=source)
+        writer.prepare()
+        writer.sample_block(1, chains)
+        snapshot = writer.get_state()
+        expected = writer.sample_block(2, 3 * chains)
+
+        reader = _batch(s298_circuit, chains=chains, config=config, rng=99, backend=target)
+        assert reader.backend == target
+        reader.set_state(snapshot)
+        assert np.array_equal(reader.sample_block(2, 3 * chains), expected)
+        assert reader.cycles_simulated == writer.cycles_simulated

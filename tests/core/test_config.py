@@ -114,3 +114,10 @@ class TestEstimationConfig:
         assert restored == config
         assert restored.worker_hosts == "127.0.0.1:9750"
         assert restored.worker_auth_token == "secret"
+
+    def test_retired_compiled_backend_maps_to_numpy(self):
+        """The 1.3 "compiled" backend was bit-identical to numpy; old specs still load."""
+        with pytest.warns(DeprecationWarning, match="compiled"):
+            config = EstimationConfig.from_dict({"simulation_backend": "compiled"})
+        assert config.simulation_backend == "numpy"
+        assert EstimationConfig.from_dict(config.to_dict()) == config

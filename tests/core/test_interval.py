@@ -2,14 +2,15 @@
 
 
 from repro.circuits.iscas89 import build_circuit
+from repro.core.batch_sampler import BatchPowerSampler
 from repro.core.config import EstimationConfig
 from repro.core.interval import select_independence_interval, z_statistic_profile
-from repro.core.sampler import PowerSampler
 from repro.stimulus.random_inputs import BernoulliStimulus
 
 
 def _sampler(circuit, config, rng=0):
-    return PowerSampler(circuit, BernoulliStimulus(circuit.num_inputs, 0.5), config, rng=rng)
+    stimulus = BernoulliStimulus(circuit.num_inputs, 0.5)
+    return BatchPowerSampler(circuit, stimulus, config, rng=rng, num_chains=1)
 
 
 class TestSelectIndependenceInterval:

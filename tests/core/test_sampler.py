@@ -1,9 +1,9 @@
-"""Unit tests for the two-phase power sampler."""
+"""Unit tests for the two-phase power sampler at one chain (the paper's flow)."""
 
 import pytest
 
+from repro.core.batch_sampler import BatchPowerSampler
 from repro.core.config import EstimationConfig
-from repro.core.sampler import PowerSampler
 from repro.stimulus.random_inputs import BernoulliStimulus
 
 
@@ -11,13 +11,15 @@ def _sampler(circuit, config=None, rng=0, simulator="zero-delay"):
     config = config or EstimationConfig(
         warmup_cycles=8, randomness_sequence_length=32, power_simulator=simulator
     )
-    return PowerSampler(circuit, BernoulliStimulus(circuit.num_inputs, 0.5), config, rng=rng)
+    return BatchPowerSampler(
+        circuit, BernoulliStimulus(circuit.num_inputs, 0.5), config, rng=rng, num_chains=1
+    )
 
 
 class TestPowerSampler:
     def test_stimulus_width_checked(self, s27_circuit):
         with pytest.raises(ValueError, match="stimulus drives"):
-            PowerSampler(s27_circuit, BernoulliStimulus(2, 0.5), EstimationConfig())
+            BatchPowerSampler(s27_circuit, BernoulliStimulus(2, 0.5), EstimationConfig())
 
     def test_collect_sequence_length_and_sign(self, s27_circuit):
         sampler = _sampler(s27_circuit)
@@ -37,7 +39,7 @@ class TestPowerSampler:
         sampler = _sampler(s27_circuit)
         sampler.prepare(warmup_cycles=0)
         before = sampler.cycles_simulated
-        sampler.next_sample(interval=5)
+        sampler.next_samples(interval=5)
         assert sampler.cycles_simulated - before == 6
 
     def test_samples_helper(self, s27_circuit):
@@ -57,7 +59,7 @@ class TestPowerSampler:
         with pytest.raises(ValueError):
             sampler.collect_sequence(interval=0, length=0)
         with pytest.raises(ValueError):
-            sampler.next_sample(interval=-2)
+            sampler.next_samples(interval=-2)
         with pytest.raises(ValueError):
             sampler.advance(-1)
 
@@ -71,10 +73,10 @@ class TestPowerSampler:
     def test_restart_from_random_state(self, s27_circuit):
         sampler = _sampler(s27_circuit)
         sampler.restart_from_random_state()
-        value = sampler.measure_cycle()
+        (value,) = sampler.measure_cycle()
         assert value >= 0.0
 
     def test_prepare_is_lazy_but_automatic(self, s27_circuit):
         sampler = _sampler(s27_circuit)
-        # next_sample without an explicit prepare() must still work.
-        assert sampler.next_sample(interval=0) >= 0.0
+        # next_samples without an explicit prepare() must still work.
+        assert sampler.next_samples(interval=0)[0] >= 0.0

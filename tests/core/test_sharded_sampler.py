@@ -302,6 +302,27 @@ class TestCheckpoints:
             sharded.set_state(snapshot)
             assert np.array_equal(sharded.next_samples(1), expected)
 
+    def test_bigint_shard_snapshots_cross_backends(self, s298_circuit):
+        """Bigint shards merge into, and split from, snapshots any backend resumes."""
+        reference, sharded = _pair(s298_circuit, 96, 2, rng=19, backend="bigint")
+        numpy_twin = BatchPowerSampler(
+            s298_circuit,
+            BernoulliStimulus(s298_circuit.num_inputs, 0.5),
+            EstimationConfig(warmup_cycles=8),
+            rng=0,
+            num_chains=96,
+            backend="numpy",
+        )
+        with sharded:
+            sharded.prepare()
+            snapshot = sharded.get_state()
+            expected = sharded.next_samples(1)
+            numpy_twin.set_state(snapshot)
+            assert np.array_equal(numpy_twin.next_samples(1), expected)
+            # ...and a numpy snapshot splits back onto the bigint shards.
+            sharded.set_state(numpy_twin.get_state())
+            assert np.array_equal(sharded.next_samples(1), numpy_twin.next_samples(1))
+
     def test_state_roundtrip_across_resize(self, s298_circuit):
         _, source = _pair(s298_circuit, 32, 3, rng=23)
         with source:

@@ -3,8 +3,10 @@
 The big-int and numpy backends of :class:`ZeroDelaySimulator` must be
 indistinguishable: identical net values, identical transition counts and
 identical RNG consumption for every circuit, width and stimulus.  These
-properties are what allows ``backend="auto"`` to switch engines by ensemble
-width without changing any estimation result.
+properties are what allows ``backend="auto"`` to pick the numpy engine at
+every width (and bigint without a C compiler) without changing any
+estimation result.  Every test names both backends explicitly: bigint is the
+reference oracle.
 """
 
 import numpy as np
@@ -13,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro.circuits.generators import SyntheticCircuitSpec, generate_sequential_circuit
 from repro.core.batch_sampler import BatchPowerSampler
 from repro.core.config import EstimationConfig
-from repro.core.sampler import PowerSampler
 from repro.simulation.compiled import CompiledCircuit
 from repro.simulation.zero_delay import ZeroDelaySimulator
 from repro.stimulus.random_inputs import BernoulliStimulus
@@ -93,26 +94,28 @@ def test_lane_resolved_measurement_agrees(spec_seed, width, run_seed):
     spec_seed=st.integers(min_value=0, max_value=2**31 - 1),
     sample_seed=st.integers(min_value=0, max_value=2**31 - 1),
     interval=st.integers(min_value=0, max_value=4),
-    backend=st.sampled_from(["bigint", "numpy"]),
+    power_simulator=st.sampled_from(["zero-delay", "event-driven"]),
 )
-def test_single_chain_batch_sampler_matches_power_sampler(
-    spec_seed, sample_seed, interval, backend
+def test_single_chain_sampler_backends_bit_identical(
+    spec_seed, sample_seed, interval, power_simulator
 ):
-    """BatchPowerSampler with 1 chain reproduces PowerSampler sample-for-sample."""
+    """The 1-chain sampler gives the same samples on the bigint and numpy engines."""
     circuit = _build_circuit(spec_seed)
-    config = EstimationConfig(warmup_cycles=8, simulation_backend=backend)
-
-    single = PowerSampler(
-        circuit, BernoulliStimulus(circuit.num_inputs, 0.5), config, rng=sample_seed
-    )
-    batch = BatchPowerSampler(
-        circuit,
-        BernoulliStimulus(circuit.num_inputs, 0.5),
-        config,
-        rng=sample_seed,
-        num_chains=1,
-    )
-    expected = [single.next_sample(interval) for _ in range(20)]
-    actual = [float(batch.next_samples(interval)[0]) for _ in range(20)]
+    config = EstimationConfig(warmup_cycles=8, power_simulator=power_simulator)
+    samplers = [
+        BatchPowerSampler(
+            circuit,
+            BernoulliStimulus(circuit.num_inputs, 0.5),
+            config,
+            rng=sample_seed,
+            num_chains=1,
+            backend=backend,
+        )
+        for backend in ("bigint", "numpy")
+    ]
+    bigint, vector = samplers
+    assert bigint.collect_sequence(interval, 8) == vector.collect_sequence(interval, 8)
+    expected = [float(bigint.next_samples(interval)[0]) for _ in range(20)]
+    actual = [float(vector.next_samples(interval)[0]) for _ in range(20)]
     assert actual == expected
-    assert batch.cycles_simulated == single.cycles_simulated
+    assert vector.cycles_simulated == bigint.cycles_simulated

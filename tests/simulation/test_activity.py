@@ -49,3 +49,22 @@ class TestCollectActivity:
     def test_invalid_cycle_count_rejected(self, s27_circuit):
         with pytest.raises(ValueError):
             collect_activity(s27_circuit, BernoulliStimulus(4, 0.5), cycles=0)
+
+    def test_identical_records_on_both_backends(self, s298_circuit, monkeypatch):
+        """The width-1 bigint and numpy engines yield the same ActivityRecord."""
+        import functools
+
+        from repro.simulation import activity
+        from repro.simulation.zero_delay import ZeroDelaySimulator
+
+        records = {}
+        for backend in ("bigint", "numpy"):
+            monkeypatch.setattr(
+                activity,
+                "ZeroDelaySimulator",
+                functools.partial(ZeroDelaySimulator, backend=backend),
+            )
+            records[backend] = collect_activity(
+                s298_circuit, BernoulliStimulus(s298_circuit.num_inputs, 0.5), cycles=300, rng=6
+            )
+        assert records["numpy"] == records["bigint"]

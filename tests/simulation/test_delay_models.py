@@ -93,8 +93,8 @@ class TestDelayModelSelection:
             EstimationConfig(delay_model="no-such-model")
 
     def test_config_key_reaches_the_event_engine(self, s27_circuit):
+        from repro.core.batch_sampler import BatchPowerSampler
         from repro.core.config import EstimationConfig
-        from repro.core.sampler import PowerSampler
         from repro.simulation.delay_models import UnitDelay, ZeroDelay
         from repro.stimulus.random_inputs import BernoulliStimulus
 
@@ -102,7 +102,7 @@ class TestDelayModelSelection:
             config = EstimationConfig(
                 warmup_cycles=4, power_simulator="event-driven", delay_model=key
             )
-            return PowerSampler(
+            return BatchPowerSampler(
                 s27_circuit, BernoulliStimulus(s27_circuit.num_inputs, 0.5), config, rng=1
             )
 

@@ -3,11 +3,12 @@
 Every power engine registered with
 :data:`~repro.api.registry.SIMULATOR_REGISTRY` must satisfy the chain-
 independence contract the samplers are built on: the per-lane energies of a
-width-*W* ensemble equal, lane for lane, the energies of *W* independent
-width-1 runs driven by the same per-lane stimulus, for any width — and the
-state engine's settled latch state must agree exactly.  The suite is
-parameterized over the registry, so a future registered backend is pinned
-automatically the moment it registers, with no new test code.
+width-*W* ensemble on the production (``"auto"``) state engine equal, lane
+for lane, the energies of *W* independent width-1 runs on the big-int oracle
+driven by the same per-lane stimulus, for any width — and the state engine's
+settled latch state must agree exactly.  The suite is parameterized over the
+registry, so a future registered backend is pinned automatically the moment
+it registers, with no new test code.
 
 Widths span the interesting regimes: 1 (scalar/big-int engines), a
 non-aligned narrow ensemble, one full 64-lane word, and multi-word widths
@@ -43,27 +44,15 @@ def test_builtin_engines_are_registered():
     names = simulator_names()
     assert "zero-delay" in names
     assert "event-driven" in names
-    assert "compiled" in names
-    assert "event-driven-compiled" in names
-    # alias resolves to the same class as the canonical name
-    assert get_simulator("zero-delay-compiled") is get_simulator("compiled")
+    # retired names resolve to the engines they were bit-identical to
+    assert get_simulator("compiled") is get_simulator("zero-delay")
+    assert get_simulator("zero-delay-compiled") is get_simulator("zero-delay")
+    assert get_simulator("event-driven-compiled") is get_simulator("event-driven")
 
 
-def _state_backend(name) -> str:
-    """The state-engine backend a sampler would pair with simulator *name*.
-
-    Mirrors the samplers' resolution: a registered simulator may pin the
-    state backend (the compiled engines route the shared sweeps through the
-    codegen kernel); otherwise the width-based auto pick applies.
-    """
-    return getattr(get_simulator(name), "state_backend", None) or "auto"
-
-
-def _run_ensemble(name, program, caps, width, latch_bits, input_bits):
+def _run_ensemble(name, program, caps, width, latch_bits, input_bits, backend="auto"):
     """Drive one ensemble of *width* lanes; return (energies, latch states)."""
-    state = ZeroDelaySimulator(
-        program, width=width, node_capacitance=caps, backend=_state_backend(name)
-    )
+    state = ZeroDelaySimulator(program, width=width, node_capacitance=caps, backend=backend)
     power = get_simulator(name)(
         program,
         width=width,
@@ -104,6 +93,7 @@ def test_per_lane_results_match_width_one_runs(name, program, caps, width):
             1,
             latch_bits[:, lane : lane + 1],
             input_bits[:, :, lane : lane + 1],
+            backend="bigint",
         )
         # Energies come from integer per-class toggle counts converted in one
         # fixed class order, so a lane's float is independent of the width.
@@ -123,9 +113,7 @@ def test_measure_total_equals_lane_sum(name, program, caps):
     )
     energies, _ = _run_ensemble(name, program, caps, width, latch_bits, input_bits)
 
-    state = ZeroDelaySimulator(
-        program, width=width, node_capacitance=caps, backend=_state_backend(name)
-    )
+    state = ZeroDelaySimulator(program, width=width, node_capacitance=caps)
     power = get_simulator(name)(
         program, width=width, node_capacitance=caps, delay_model="type-table"
     )

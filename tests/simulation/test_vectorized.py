@@ -1,5 +1,9 @@
 """Unit tests for the word-sliced numpy simulator backend."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -160,7 +164,7 @@ class TestSweepStrategies:
         caps = program.capacitances(CapacitanceModel())
         engines = {
             sweep: VectorizedZeroDelaySimulator(program, width, caps, sweep=sweep)
-            for sweep in ("native", "groups")
+            for sweep in ("auto", "groups")
         }
         assert engines["groups"]._count_lanes is None
         rng = np.random.default_rng(width)
@@ -168,13 +172,49 @@ class TestSweepStrategies:
             engine.randomize_state(rng=3)
         for _ in range(6):
             pattern = [int(v) for v in rng.integers(0, 1 << 62, size=program.circuit.num_inputs)]
-            native, groups = engines["native"], engines["groups"]
+            native, groups = engines["auto"], engines["groups"]
             lanes = native.step_and_measure_lanes(pattern)
             assert np.array_equal(lanes, groups.step_and_measure_lanes(pattern))
             total = native.step_and_measure(pattern)
             assert total == groups.step_and_measure(pattern)
             lane0 = native.step_and_measure_lane0(pattern)
             assert lane0 == groups.step_and_measure_lane0(pattern)
+
+    @pytest.mark.skipif(
+        not _native.native_enabled() or _native.find_compiler() is None,
+        reason="native kernels disabled or no C compiler available",
+    )
+    def test_generic_kernel_disk_memo_spares_gcc(self, tmp_path):
+        """A second process finds the kernel on disk: zero invocations; a corrupt one rebuilds."""
+        script = (
+            "from repro.simulation import _native\n"
+            "kernel = _native.load_kernel()\n"
+            "assert kernel is not None\n"
+            "print(_native.compiler_invocations())\n"
+        )
+        env = {
+            **os.environ,
+            "REPRO_PROGRAM_CACHE": str(tmp_path),
+            "PYTHONPATH": os.pathsep.join(sys.path),
+        }
+        env.pop("REPRO_NATIVE", None)
+
+        def invocations() -> str:
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            return result.stdout.strip()
+
+        assert invocations() == "1"  # cold cache: one compile
+        assert invocations() == "0"  # warm cache: pure disk hit
+        (cached,) = tmp_path.glob("generic.k*.so")
+        cached.write_bytes(b"not a shared object")
+        assert invocations() == "1"  # corrupt object: unlinked and rebuilt
 
 
 class TestBackendFacade:
@@ -184,9 +224,20 @@ class TestBackendFacade:
         with pytest.raises(ValueError):
             resolve_backend("cuda", 64)
 
-    def test_auto_is_bigint_for_single_lane(self, s27_circuit):
-        assert ZeroDelaySimulator(s27_circuit, width=1).backend == "bigint"
-        assert ZeroDelaySimulator(s27_circuit, width=1024).backend == "numpy"
+    @pytest.mark.parametrize("kernel", (True, False))
+    def test_auto_rule_follows_native_kernel(self, s27_circuit, monkeypatch, kernel):
+        """With the kernel, auto is numpy at every width; without it, bigint below 256."""
+        monkeypatch.setattr(_native, "native_kernel_available", lambda: kernel)
+        picks = {
+            width: ZeroDelaySimulator(s27_circuit, width=width).backend
+            for width in (1, 64, 255, 256, 1024)
+        }
+        if kernel:
+            assert set(picks.values()) == {"numpy"}
+        else:
+            assert picks == {
+                1: "bigint", 64: "bigint", 255: "bigint", 256: "numpy", 1024: "numpy"
+            }
 
     def test_numpy_backend_rejects_values_assignment(self, s27_circuit):
         simulator = ZeroDelaySimulator(s27_circuit, width=8, backend="numpy")

@@ -185,95 +185,3 @@ class TestVectorizedInterface:
         scalar.randomize_state(rng=9)
         vector.randomize_state(rng=9)
         assert scalar.latch_state_scalar() == vector.latch_state_scalar()
-
-
-class TestWavefrontCompaction:
-    """Column-compacted instants count exactly the uncompacted transitions."""
-
-    def _twins(self, circuit, width, caps=None):
-        on = VectorizedEventDrivenSimulator(
-            circuit, node_capacitance=caps, width=width, wavefront_compaction=True
-        )
-        off = VectorizedEventDrivenSimulator(
-            circuit, node_capacitance=caps, width=width, wavefront_compaction=False
-        )
-        return on, off
-
-    @pytest.mark.parametrize("width", [512, 520])
-    def test_bit_identical_lanes_wide(self, s27_circuit, width):
-        from repro.stimulus.random_inputs import BernoulliStimulus
-
-        # Sparse activity drives whole 64-lane words quiescent so the
-        # compacted path actually engages at these widths (>= 8 words).
-        stimulus = BernoulliStimulus(s27_circuit.num_inputs, 0.05)
-        on, off = self._twins(s27_circuit, width)
-        rng_on, rng_off = np.random.default_rng(9), np.random.default_rng(9)
-        on.randomize_state(rng_on)
-        off.randomize_state(rng_off)
-        first = stimulus.next_pattern_words(np.random.default_rng(1), width=width)
-        on.settle(first)
-        off.settle(first)
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            pattern = stimulus.next_pattern_words(rng, width=width)
-            lanes_on = on.cycle_lanes(pattern.copy())
-            lanes_off = off.cycle_lanes(pattern)
-            assert np.array_equal(lanes_on, lanes_off)
-        assert np.array_equal(on.transition_counts, off.transition_counts)
-        assert np.array_equal(on.words, off.words)
-
-    def test_bit_identical_with_zero_delay_cascade(self, s27_circuit):
-        """Mixed zero/positive delays exercise the compacted level-worklist path."""
-        from repro.netlist.cell_library import GateType
-        from repro.simulation.delay_models import TypeTableDelay
-        from repro.stimulus.random_inputs import BernoulliStimulus
-
-        width = 512
-        # NOT/BUFF cells switch instantly: the instant's frontier cascades
-        # through the level worklist instead of the single-batch fast path,
-        # with eval_cols restricted once whole words go quiescent.
-        model = TypeTableDelay({GateType.NOT: 0.0, GateType.BUFF: 0.0}, fanin_factor=0.0)
-        on = VectorizedEventDrivenSimulator(
-            s27_circuit, delay_model=model, width=width, wavefront_compaction=True
-        )
-        off = VectorizedEventDrivenSimulator(
-            s27_circuit, delay_model=model, width=width, wavefront_compaction=False
-        )
-        assert on._any_zero_ticks  # the cascade branch is actually in play
-        stimulus = BernoulliStimulus(s27_circuit.num_inputs, 0.05)
-        on.randomize_state(np.random.default_rng(9))
-        off.randomize_state(np.random.default_rng(9))
-        rng = np.random.default_rng(2)
-        first = stimulus.next_pattern_words(rng, width=width)
-        on.settle(first)
-        off.settle(first)
-        for _ in range(10):
-            pattern = stimulus.next_pattern_words(rng, width=width)
-            assert np.array_equal(on.cycle_lanes(pattern.copy()), off.cycle_lanes(pattern))
-        assert np.array_equal(on.transition_counts, off.transition_counts)
-        assert np.array_equal(on.words, off.words)
-
-    def test_compaction_engages_on_sparse_tails(self, s27_circuit):
-        """At least one instant must actually evaluate a column subset."""
-        width = 512
-        on, _ = self._twins(s27_circuit, width)
-        subset_calls = []
-        original = on._evaluate_gates
-
-        def spy(gates, cols=None):
-            if cols is not None:
-                subset_calls.append(cols.size)
-            return original(gates, cols)
-
-        on._evaluate_gates = spy
-        bits = np.zeros((s27_circuit.num_inputs, width), dtype=np.uint8)
-        on.reset(latch_state=0)
-        from repro.stimulus.base import pack_bit_matrix_words
-
-        on.settle(pack_bit_matrix_words(bits))
-        # Toggle one input in a single lane: the whole cascade lives in one
-        # 64-lane word, so every other word is quiescent from the seed on.
-        bits[0, 3] = 1
-        on.cycle_lanes(pack_bit_matrix_words(bits))
-        assert subset_calls
-        assert max(subset_calls) < on.num_words
