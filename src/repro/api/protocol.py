@@ -12,7 +12,7 @@ checkpoint validation on resume.  Concrete estimators only implement
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.api.checkpoint import RunCheckpoint
 from repro.api.events import EstimateCompleted, ProgressEvent
@@ -37,8 +37,9 @@ class StreamingEstimator:
     method: str = "abstract"
 
     # In-flight state maintained by run(); class-level defaults mean "no run
-    # in progress".
-    _samples: list[float] | None = None
+    # in progress".  ``_samples`` is the growing sample (the built-in
+    # estimators keep it in a :class:`~repro.stats.sample_buffer.SampleBuffer`).
+    _samples: Iterable[float] | None = None
     _interval_result: "IntervalSelectionResult | None" = None
     _elapsed_seconds: float = 0.0
 

@@ -38,11 +38,15 @@ anything.
 from __future__ import annotations
 
 import importlib
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 
 class Registry:
     """A case-insensitive name → factory mapping with lazy built-in loading.
+
+    Lookups and ``in`` accept canonical names and their aliases; listings
+    (:meth:`names`, iteration) report canonical names only, so a registry
+    serves directly as argparse ``choices`` whose help omits the aliases.
 
     Parameters
     ----------
@@ -56,6 +60,7 @@ class Registry:
     def __init__(self, kind: str, builtin_modules: Iterable[str] = ()):
         self.kind = kind
         self._entries: dict[str, Callable] = {}
+        self._canonical: set[str] = set()
         self._builtin_modules = tuple(builtin_modules)
         self._bootstrapped = False
 
@@ -90,6 +95,7 @@ class Registry:
                         f"{self.kind} {key!r} is already registered to {existing!r}"
                     )
                 self._entries[key] = obj
+            self._canonical.add(self._normalise(name))
             return obj
 
         if factory is not None:
@@ -113,10 +119,16 @@ class Registry:
         except ValueError:
             return False
 
+    def __iter__(self) -> Iterator[str]:
+        """Iterate the canonical names, sorted (as :meth:`names`)."""
+        return iter(self.names())
+
     def names(self) -> tuple[str, ...]:
-        """All registered names (including aliases), sorted."""
+        """Canonical registered names, sorted (aliases resolve but are not listed)."""
         self._bootstrap()
-        return tuple(sorted(self._entries))
+        # ``_entries`` decides what is registered: a name dropped from it is
+        # no longer listed either.
+        return tuple(sorted(self._canonical.intersection(self._entries)))
 
 
 #: Estimator kinds accepted by :class:`~repro.api.jobs.JobSpec`.

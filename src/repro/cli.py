@@ -44,11 +44,11 @@ import numpy as np
 from repro.api.batch import BatchRunner, load_jobs
 from repro.api.jobs import JobSpec, StimulusSpec, run_job
 from repro.api.registry import (
-    delay_model_names,
-    estimator_names,
-    simulator_names,
-    stimulus_names,
-    stopping_criterion_names,
+    DELAY_MODEL_REGISTRY,
+    ESTIMATOR_REGISTRY,
+    SIMULATOR_REGISTRY,
+    STIMULUS_REGISTRY,
+    STOPPING_CRITERION_REGISTRY,
 )
 from repro.circuits.iscas89 import (
     SMALL_CIRCUIT_NAMES,
@@ -103,13 +103,13 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="maximum relative error of the estimate (paper: 0.05)")
     parser.add_argument("--confidence", type=float, default=0.99,
                         help="confidence of the estimate (paper: 0.99)")
-    parser.add_argument("--stopping", choices=sorted(stopping_criterion_names()),
+    parser.add_argument("--stopping", choices=STOPPING_CRITERION_REGISTRY,
                         default="order-statistic", help="stopping criterion")
-    parser.add_argument("--power-simulator", choices=sorted(simulator_names()),
+    parser.add_argument("--power-simulator", choices=SIMULATOR_REGISTRY,
                         default="zero-delay",
                         help="power engine for the sampled cycles "
                              "(any registered simulator name)")
-    parser.add_argument("--delay-model", choices=sorted(delay_model_names()),
+    parser.add_argument("--delay-model", choices=DELAY_MODEL_REGISTRY,
                         default="fanout",
                         help="gate delay model of the event-driven power engine "
                              "(ignored by zero-delay)")
@@ -126,7 +126,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="zero-delay simulator backend (auto picks numpy whenever "
                              "the native kernel loads, bigint for narrow ensembles "
                              "without it)")
-    parser.add_argument("--stimulus", choices=sorted(stimulus_names()),
+    parser.add_argument("--stimulus", choices=STIMULUS_REGISTRY,
                         default="bernoulli",
                         help="input-pattern generator (any registered stimulus "
                              "name; the variance-reduction stimuli antithetic/"
@@ -602,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compile_verb.add_argument("circuit", help="benchmark name or path to a .bench file")
     compile_verb.add_argument(
-        "--delay-models", nargs="*", choices=sorted(delay_model_names()),
+        "--delay-models", nargs="*", choices=DELAY_MODEL_REGISTRY,
         default=["zero", "unit", "fanout", "type-table"],
         help="delay models to quantize and report (default: the built-ins)")
     compile_verb.add_argument(
@@ -614,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     estimate = subparsers.add_parser("estimate", help="estimate one circuit's average power")
     estimate.add_argument("circuit", help="benchmark name or path to a .bench file")
-    estimate.add_argument("--estimator", choices=sorted(estimator_names()), default="dipe",
+    estimate.add_argument("--estimator", choices=ESTIMATOR_REGISTRY, default="dipe",
                           help="registered estimator kind (default: dipe)")
     estimate.add_argument("--params", type=json.loads, default={},
                           help="extra estimator parameters as a JSON object "
@@ -703,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("circuit", help="benchmark name or path to a .bench file")
     submit.add_argument("--url", default="http://127.0.0.1:8642", help="service base URL")
-    submit.add_argument("--estimator", choices=sorted(estimator_names()), default="dipe",
+    submit.add_argument("--estimator", choices=ESTIMATOR_REGISTRY, default="dipe",
                         help="registered estimator kind (default: dipe)")
     submit.add_argument("--params", type=json.loads, default={},
                         help="extra estimator parameters as a JSON object")

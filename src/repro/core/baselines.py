@@ -26,6 +26,8 @@ from __future__ import annotations
 import time
 from typing import Iterator
 
+import numpy as np
+
 from repro.api.checkpoint import RunCheckpoint
 from repro.api.events import (
     EstimateCompleted,
@@ -36,11 +38,12 @@ from repro.api.events import (
 from repro.api.protocol import StreamingEstimator
 from repro.api.registry import register_estimator
 from repro.circuits.program import as_compiled_circuit
-from repro.core.batch_sampler import BatchPowerSampler, draw_samples, make_sampler
+from repro.core.batch_sampler import BatchPowerSampler, make_sampler
 from repro.core.config import EstimationConfig
 from repro.core.results import PowerEstimate
 from repro.netlist.netlist import Netlist
 from repro.simulation.compiled import CompiledCircuit
+from repro.stats.sample_buffer import SampleBuffer
 from repro.stats.stopping import make_stopping_criterion
 from repro.stimulus.base import Stimulus
 from repro.stimulus.random_inputs import BernoulliStimulus
@@ -65,7 +68,7 @@ class _BaselineEstimator(StreamingEstimator):
         self.stimulus = stimulus or BernoulliStimulus(circuit.num_inputs, 0.5)
         self.sampler: BatchPowerSampler = make_sampler(circuit, self.stimulus, self.config, rng=rng)
 
-    def _collect_batch(self) -> list[float]:
+    def _collect_batch(self) -> np.ndarray:
         """Draw the next batch of samples (one per chain)."""
         raise NotImplementedError
 
@@ -95,24 +98,24 @@ class _BaselineEstimator(StreamingEstimator):
                 circuit=circuit_name, method=self.method, samples_drawn=0, cycles_simulated=0
             )
             self.sampler.prepare(config.warmup_cycles)
-            samples: list[float] = []
+            samples = SampleBuffer()
         else:
             self._validate_checkpoint(resume_from)
             elapsed_before = resume_from.elapsed_seconds
             self.sampler.set_state(resume_from.sampler_state)
-            samples = list(resume_from.samples)
+            samples = SampleBuffer(resume_from.samples)
 
         self._samples = samples
         self._elapsed_seconds = elapsed_before + (time.perf_counter() - start_time)
 
-        decision = criterion.evaluate(samples)
+        decision = criterion.evaluate(samples.view())
         while not decision.should_stop and len(samples) < config.max_samples:
             added = 0
             while added < config.check_interval:
                 new_samples = self._collect_batch()
                 samples.extend(new_samples)
                 added += len(new_samples)
-            decision = criterion.evaluate(samples)
+            decision = criterion.evaluate(samples.view())
             self._elapsed_seconds = elapsed_before + (time.perf_counter() - start_time)
             yield SampleProgress(
                 circuit=circuit_name,
@@ -141,7 +144,7 @@ class _BaselineEstimator(StreamingEstimator):
             stopping_criterion=criterion.name,
             accuracy_met=decision.should_stop,
             interval_selection=None,
-            samples_switched_capacitance_f=tuple(samples),
+            samples_switched_capacitance_f=tuple(samples.tolist()),
         )
         yield EstimateCompleted(
             circuit=circuit_name,
@@ -177,8 +180,8 @@ class ConsecutiveCycleEstimator(_BaselineEstimator):
     def _stopping_name(self) -> str:
         return self._stopping
 
-    def _collect_batch(self) -> list[float]:
-        return draw_samples(self.sampler, interval=0)
+    def _collect_batch(self) -> np.ndarray:
+        return self.sampler.next_samples(interval=0)
 
 
 @register_estimator("fixed-warmup")
@@ -216,7 +219,7 @@ class FixedWarmupEstimator(_BaselineEstimator):
     def _interval(self) -> int:
         return self.warmup_period
 
-    def _collect_batch(self) -> list[float]:
+    def _collect_batch(self) -> np.ndarray:
         self.sampler.restart_from_random_state()
         self.sampler.advance(self.warmup_period)
-        return self.sampler.measure_cycle().tolist()
+        return self.sampler.measure_cycle()

@@ -80,18 +80,13 @@ def make_sampler(
     return BatchPowerSampler(circuit, stimulus, config, rng=rng)
 
 
-def draw_samples(sampler: "BatchPowerSampler", interval: int) -> list[float]:
-    """Draw the next batch of power samples, one per chain."""
-    # ndarray.tolist() converts lanes to Python floats in C.
-    return sampler.next_samples(interval).tolist()
-
-
-def draw_sample_block(sampler: "BatchPowerSampler", interval: int, min_count: int) -> list[float]:
+def draw_sample_block(sampler: "BatchPowerSampler", interval: int, min_count: int) -> np.ndarray:
     """Draw at least *min_count* new samples, chain-major interleaved.
 
-    Draw-for-draw identical to calling :func:`draw_samples` in a loop until
-    *min_count* samples accumulate (same RNG consumption, same sample order),
-    but the interleaving of per-chain lanes into the flat sample happens as
+    Draw-for-draw identical to concatenating
+    :meth:`BatchPowerSampler.next_samples` batches until *min_count* samples
+    accumulate (same RNG consumption, same sample order), but the
+    interleaving of per-chain lanes into the flat float64 block happens as
     one vectorized reshape instead of a Python loop per batch.
 
     When the configuration enables the wall-clock-aware resize policy
@@ -105,8 +100,8 @@ def draw_sample_block(sampler: "BatchPowerSampler", interval: int, min_count: in
         block = sampler.sample_block(interval, min_count)
         sweeps = len(block) // max(1, sampler.num_chains)
         sampler.note_sweep_seconds(time.perf_counter() - start, sweeps)
-        return block.tolist()
-    return sampler.sample_block(interval, min_count).tolist()
+        return block
+    return sampler.sample_block(interval, min_count)
 
 
 class BatchPowerSampler:

@@ -53,6 +53,7 @@ from repro.core.interval import select_independence_interval
 from repro.core.results import PowerEstimate
 from repro.netlist.netlist import Netlist
 from repro.simulation.compiled import CompiledCircuit
+from repro.stats.sample_buffer import SampleBuffer
 from repro.stats.stopping import GroupedStoppingCriterion, make_stopping_criterion
 from repro.stimulus.base import Stimulus
 from repro.stimulus.random_inputs import BernoulliStimulus
@@ -189,7 +190,7 @@ class DipeEstimator(StreamingEstimator):
             )
             self.sampler.prepare(config.warmup_cycles)
             interval_result = select_independence_interval(self.sampler, config)
-            samples: list[float] = []
+            samples = SampleBuffer()
         else:
             self._validate_checkpoint(resume_from)
             if resume_from.interval_selection is None:
@@ -197,7 +198,7 @@ class DipeEstimator(StreamingEstimator):
             elapsed_before = resume_from.elapsed_seconds
             self.sampler.set_state(resume_from.sampler_state)
             interval_result = resume_from.interval_selection
-            samples = list(resume_from.samples)
+            samples = SampleBuffer(resume_from.samples)
 
         self._samples = samples
         self._interval_result = interval_result
@@ -222,9 +223,12 @@ class DipeEstimator(StreamingEstimator):
         # would be circular.
         from repro.variance.accumulators import PairedMeanAccumulator
 
-        accumulator = PairedMeanAccumulator(self.sample_group_width)
-        accumulator.extend(samples)
-        decision = self.stopping_criterion.evaluate(samples)
+        # Only lane-coupled (grouped) runs report an effective sample size.
+        accumulator = None
+        if self.sample_group_width > 1:
+            accumulator = PairedMeanAccumulator(self.sample_group_width)
+            accumulator.extend(samples)
+        decision = self.stopping_criterion.evaluate(samples.view())
         while not decision.should_stop and len(samples) < config.max_samples:
             if config.adaptive_chains:
                 desired = self.sampler.plan_chain_resize(decision)
@@ -245,8 +249,9 @@ class DipeEstimator(StreamingEstimator):
             # one vectorized block draw per stopping-criterion check.
             block = draw_sample_block(self.sampler, interval, config.check_interval)
             samples.extend(block)
-            accumulator.extend(block)
-            decision = self.stopping_criterion.evaluate(samples)
+            if accumulator is not None:
+                accumulator.extend(block)
+            decision = self.stopping_criterion.evaluate(samples.view())
             self._elapsed_seconds = elapsed_before + (time.perf_counter() - start_time)
             yield from _drain_worker_events(
                 self.sampler, circuit_name, self.method, len(samples)
@@ -263,9 +268,7 @@ class DipeEstimator(StreamingEstimator):
                 accuracy_met=decision.should_stop,
                 num_workers=getattr(self.sampler, "num_workers", 1),
                 effective_sample_size=(
-                    accumulator.effective_sample_size
-                    if self.sample_group_width > 1
-                    else None
+                    accumulator.effective_sample_size if accumulator is not None else None
                 ),
                 shards=(
                     self.sampler.shard_progress()
@@ -290,9 +293,9 @@ class DipeEstimator(StreamingEstimator):
             accuracy_met=decision.should_stop,
             interval_selection=interval_result,
             effective_sample_size=(
-                accumulator.effective_sample_size if self.sample_group_width > 1 else None
+                accumulator.effective_sample_size if accumulator is not None else None
             ),
-            samples_switched_capacitance_f=tuple(samples),
+            samples_switched_capacitance_f=tuple(samples.tolist()),
         )
         yield from _drain_worker_events(
             self.sampler, circuit_name, self.method, len(samples)

@@ -11,7 +11,13 @@ This package implements the statistics that make the paper's approach work:
 * stopping criteria (Section IV) that watch the growing random power sample
   and terminate the simulation once the requested accuracy and confidence
   are met — the distribution-independent order-statistics criterion used by
-  the paper, plus CLT-based and Kolmogorov–Smirnov-based alternatives.
+  the paper, plus CLT-based and Kolmogorov–Smirnov-based alternatives;
+* the Student-t quantile of the CLT criterion (:mod:`repro.stats.distributions`)
+  and the float64 sample buffer the estimators hand to every stopping check
+  (:mod:`repro.stats.sample_buffer`).
+
+Everything here runs on numpy and the standard library; scipy is used only
+by the tests, as an oracle.
 """
 
 from repro.stats.descriptive import SampleSummary, summarize

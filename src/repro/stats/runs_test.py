@@ -16,11 +16,11 @@ accepted at significance level ``alpha`` when ``|z| <= c`` with
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
-
-from scipy.stats import norm
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,12 @@ class RunsTestResult:
         return self.num_first + self.num_second
 
 
+@functools.lru_cache(maxsize=64)
 def critical_value(significance_level: float) -> float:
     """Return ``c = Phi^{-1}(1 - alpha/2)`` for a two-sided test (Eq. (7))."""
     if not 0.0 < significance_level < 1.0:
         raise ValueError("significance_level must lie strictly between 0 and 1")
-    return float(norm.ppf(1.0 - significance_level / 2.0))
+    return NormalDist().inv_cdf(1.0 - significance_level / 2.0)
 
 
 def count_runs(symbols: Sequence[int]) -> int:
@@ -149,7 +150,8 @@ def runs_test(symbols: Sequence[int], significance_level: float = 0.20) -> RunsT
     else:
         z = 0.0
 
-    p_value = float(2.0 * (1.0 - norm.cdf(abs(z))))
+    # Two-sided tail 2 (1 - Phi(|z|)), without the cancellation of 1 - Phi.
+    p_value = math.erfc(abs(z) / math.sqrt(2.0))
     return RunsTestResult(
         num_runs=num_runs,
         num_first=m,

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import t as student_t
 
+from repro.stats.distributions import t_quantile
 from repro.stats.stopping.base import StoppingCriterion
 
 
@@ -24,13 +24,13 @@ class CltStoppingCriterion(StoppingCriterion):
     name = "clt"
 
     def interval(self, sample: Sequence[float]) -> tuple[float, float, float]:
-        data = np.asarray(list(sample), dtype=float)
+        data = np.asarray(sample, dtype=float)
         mean = float(data.mean())
         if data.size < 2:
             return mean, mean, mean
         std = float(data.std(ddof=1))
         if std == 0.0:
             return mean, mean, mean
-        quantile = float(student_t.ppf(1.0 - (1.0 - self.confidence) / 2.0, df=data.size - 1))
+        quantile = t_quantile(1.0 - (1.0 - self.confidence) / 2.0, data.size - 1)
         half_width = quantile * std / np.sqrt(data.size)
         return mean, mean - half_width, mean + half_width

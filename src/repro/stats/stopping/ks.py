@@ -42,7 +42,7 @@ class KolmogorovSmirnovStoppingCriterion(StoppingCriterion):
         return math.sqrt(math.log(2.0 / delta) / (2.0 * sample_size))
 
     def interval(self, sample: Sequence[float]) -> tuple[float, float, float]:
-        data = np.sort(np.asarray(list(sample), dtype=float))
+        data = np.sort(np.asarray(sample, dtype=float))
         estimate = float(data.mean())
         size = data.size
         if size < 2:

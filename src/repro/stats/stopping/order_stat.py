@@ -24,12 +24,32 @@ specification.
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import binom
 
 from repro.stats.stopping.base import StoppingCriterion
+
+
+@functools.lru_cache(maxsize=1024)
+def _order_statistic_rank(num_batches: int, confidence: float) -> int | None:
+    """Memoized body of :meth:`OrderStatisticStoppingCriterion.order_statistic_rank`.
+
+    The coverage ``1 - 2 * BinomCDF(r-1; k, 1/2)`` of ``[X_(r), X_(k-r+1)]``
+    shrinks as ``r`` grows.  The binomial tail is summed exactly in integers;
+    only its ratio to ``2**k`` is rounded (once, correctly).
+    """
+    total = 1 << num_batches
+    tail = 0
+    best_rank = None
+    for rank in range(1, num_batches // 2 + 1):
+        tail += math.comb(num_batches, rank - 1)
+        if 1.0 - 2.0 * (tail / total) < confidence:
+            break
+        best_rank = rank
+    return best_rank
 
 
 class OrderStatisticStoppingCriterion(StoppingCriterion):
@@ -63,16 +83,14 @@ class OrderStatisticStoppingCriterion(StoppingCriterion):
         Trailing samples that do not fill a complete batch are folded into
         the last batch so no observation is discarded.
         """
-        data = np.asarray(list(sample), dtype=float)
+        data = np.asarray(sample, dtype=float)
         if data.size < self.num_batches:
             return data
         batch_size = data.size // self.num_batches
-        means = []
-        for index in range(self.num_batches):
-            start = index * batch_size
-            end = (index + 1) * batch_size if index < self.num_batches - 1 else data.size
-            means.append(float(data[start:end].mean()))
-        return np.asarray(means)
+        last = (self.num_batches - 1) * batch_size
+        # Row means of the reshaped prefix equal per-slice means bit for bit.
+        head = data[:last].reshape(self.num_batches - 1, batch_size).mean(axis=1)
+        return np.append(head, data[last:].mean())
 
     def order_statistic_rank(self, num_batches: int) -> int | None:
         """Largest rank ``r`` whose symmetric interval reaches the confidence level.
@@ -80,18 +98,11 @@ class OrderStatisticStoppingCriterion(StoppingCriterion):
         Returns ``None`` when even the full range (r = 1) does not cover the
         requested confidence, i.e. the sample is still too small.
         """
-        best_rank = None
-        for rank in range(1, num_batches // 2 + 1):
-            coverage = 1.0 - 2.0 * float(binom.cdf(rank - 1, num_batches, 0.5))
-            if coverage >= self.confidence:
-                best_rank = rank
-            else:
-                break
-        return best_rank
+        return _order_statistic_rank(num_batches, self.confidence)
 
     # ------------------------------------------------------------------ main
     def interval(self, sample: Sequence[float]) -> tuple[float, float, float]:
-        data = np.asarray(list(sample), dtype=float)
+        data = np.asarray(sample, dtype=float)
         estimate = float(data.mean())
         means = np.sort(self.batch_means(data))
         rank = self.order_statistic_rank(means.size)

@@ -53,6 +53,7 @@ from repro.core.interval import select_independence_interval
 from repro.core.results import PowerEstimate
 from repro.netlist.netlist import Netlist
 from repro.simulation.compiled import CompiledCircuit
+from repro.stats.sample_buffer import SampleBuffer
 from repro.stats.stopping import make_stopping_criterion
 from repro.stimulus.base import Stimulus
 from repro.utils.rng import RandomSource
@@ -126,7 +127,7 @@ class ControlVariateEstimator(DipeEstimator):
         self.stopping_criterion = self._sweep_criterion
 
     # ------------------------------------------------------------- estimation
-    def _control_adjusted(self, triples: list[float]) -> tuple[np.ndarray, float | None]:
+    def _control_adjusted(self, triples: np.ndarray) -> tuple[np.ndarray, float | None]:
         """Adjusted sweep means ``z`` and the effective sample size.
 
         ``beta`` is the regression coefficient of the sweep means on the
@@ -171,7 +172,7 @@ class ControlVariateEstimator(DipeEstimator):
             )
             self.sampler.prepare(config.warmup_cycles)
             interval_result = select_independence_interval(self.sampler, config)
-            triples: list[float] = []
+            triples = SampleBuffer()
         else:
             self._validate_checkpoint(resume_from)
             if resume_from.interval_selection is None:
@@ -184,7 +185,7 @@ class ControlVariateEstimator(DipeEstimator):
             elapsed_before = resume_from.elapsed_seconds
             self.sampler.set_state(resume_from.sampler_state)
             interval_result = resume_from.interval_selection
-            triples = list(resume_from.samples)
+            triples = SampleBuffer(resume_from.samples)
 
         def raw_count() -> int:
             return (len(triples) // 3) * width
@@ -205,10 +206,8 @@ class ControlVariateEstimator(DipeEstimator):
         )
 
         sweeps_per_check = max(1, -(-config.check_interval // width))
-        z, ess = self._control_adjusted(triples)
-        decision = dataclasses.replace(
-            self._sweep_criterion.evaluate(z.tolist()), sample_size=raw_count()
-        )
+        z, ess = self._control_adjusted(triples.view())
+        decision = dataclasses.replace(self._sweep_criterion.evaluate(z), sample_size=raw_count())
         while not decision.should_stop and raw_count() < config.max_samples:
             for _ in range(sweeps_per_check):
                 samples, controls, cheap_mean = self.sampler.next_samples_with_control(
@@ -217,9 +216,9 @@ class ControlVariateEstimator(DipeEstimator):
                 triples.extend(
                     (float(samples.mean()), float(controls.mean()), cheap_mean)
                 )
-            z, ess = self._control_adjusted(triples)
+            z, ess = self._control_adjusted(triples.view())
             decision = dataclasses.replace(
-                self._sweep_criterion.evaluate(z.tolist()), sample_size=raw_count()
+                self._sweep_criterion.evaluate(z), sample_size=raw_count()
             )
             self._elapsed_seconds = elapsed_before + (time.perf_counter() - start_time)
             yield SampleProgress(
@@ -252,7 +251,7 @@ class ControlVariateEstimator(DipeEstimator):
             accuracy_met=decision.should_stop,
             interval_selection=interval_result,
             effective_sample_size=ess,
-            samples_switched_capacitance_f=tuple(float(value) for value in z),
+            samples_switched_capacitance_f=tuple(z.tolist()),
         )
         yield EstimateCompleted(
             circuit=circuit_name,

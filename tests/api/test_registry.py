@@ -98,6 +98,18 @@ class TestRegistryBehaviour:
         assert "fancy" in registry
         assert "nope" not in registry
 
+    def test_listing_omits_aliases_that_still_resolve(self):
+        registry = Registry("widget")
+
+        def make_widget():
+            return "widget"
+
+        registry.register("fancy", make_widget, aliases=("shiny",))
+        assert registry.names() == ("fancy",)
+        assert list(registry) == ["fancy"]
+        assert "shiny" in registry
+        assert registry.get("SHINY") is make_widget
+
     def test_empty_name_rejected(self):
         registry = Registry("widget")
         with pytest.raises(ValueError):

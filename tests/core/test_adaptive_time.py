@@ -120,7 +120,7 @@ class TestDrawSampleBlock:
         off = _sampler(s27_circuit, _config(), rng=11)
         on.prepare(8)
         off.prepare(8)
-        assert draw_sample_block(on, 2, 64) == draw_sample_block(off, 2, 64)
+        assert draw_sample_block(on, 2, 64).tolist() == draw_sample_block(off, 2, 64).tolist()
 
 
 class TestEndToEnd:

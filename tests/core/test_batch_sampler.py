@@ -224,21 +224,21 @@ class TestSampleBlock:
     """The vectorized interleave must match the per-batch loop draw for draw."""
 
     def test_sample_block_matches_looped_draws(self, s27_circuit):
-        from repro.core.batch_sampler import draw_sample_block, draw_samples
+        from repro.core.batch_sampler import draw_sample_block
 
         looped = _batch(s27_circuit, chains=8, rng=13)
         blocked = _batch(s27_circuit, chains=8, rng=13)
         collected: list[float] = []
         while len(collected) < 48:
-            collected.extend(draw_samples(looped, 2))
+            collected.extend(looped.next_samples(2).tolist())
         block = draw_sample_block(blocked, 2, 48)
-        assert block == collected
+        assert block.dtype == np.float64
+        assert block.tolist() == collected
         assert blocked.cycles_simulated == looped.cycles_simulated
-        assert all(isinstance(value, float) for value in block)
 
     def test_sample_block_identical_stopping_decisions(self, s27_circuit):
         """Stopping trajectories are unchanged by the vectorized interleave."""
-        from repro.core.batch_sampler import draw_sample_block, draw_samples
+        from repro.core.batch_sampler import draw_sample_block
         from repro.stats.stopping import make_stopping_criterion
 
         config = EstimationConfig(warmup_cycles=8)
@@ -253,10 +253,10 @@ class TestSampleBlock:
         for _ in range(6):
             added = 0
             while added < 16:
-                batch = draw_samples(looped, 1)
+                batch = looped.next_samples(1).tolist()
                 samples_a.extend(batch)
                 added += len(batch)
-            samples_b.extend(draw_sample_block(blocked, 1, 16))
+            samples_b.extend(draw_sample_block(blocked, 1, 16).tolist())
             decision_a = crit_a.evaluate(samples_a)
             decision_b = crit_b.evaluate(samples_b)
             assert decision_a == decision_b

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -23,6 +24,32 @@ class TestParser:
     def test_unknown_stopping_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["estimate", "s27", "--stopping", "magic"])
+
+    def test_help_lists_canonical_names_only(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["estimate", "--help"])
+        text = capsys.readouterr().out
+        # Other tests may register extra components, so compare as sets.
+        stopping = set(re.search(r"--stopping \{([^}]*)\}", text).group(1).split(","))
+        engines = set(re.search(r"--power-simulator \{([^}]*)\}", text).group(1).split(","))
+        assert {"clt", "ks", "order-statistic"} <= stopping
+        assert {"event-driven", "zero-delay"} <= engines
+        assert not stopping & {"order_stat", "kolmogorov-smirnov"}
+        assert not engines & {"compiled", "zero-delay-compiled", "event-driven-compiled"}
+
+    @pytest.mark.parametrize(
+        "option, alias",
+        [
+            ("--stopping", "order_stat"),
+            ("--stopping", "kolmogorov-smirnov"),
+            ("--power-simulator", "compiled"),
+            ("--power-simulator", "zero-delay-compiled"),
+            ("--power-simulator", "event-driven-compiled"),
+        ],
+    )
+    def test_aliases_still_parse(self, option, alias):
+        args = build_parser().parse_args(["estimate", "s27", option, alias])
+        assert getattr(args, option[2:].replace("-", "_")) == alias
 
     def test_input_probability_shared_across_verbs(self):
         for verb in (["estimate", "s27"], ["table1"], ["table2"], ["figure3"]):

@@ -80,3 +80,21 @@ class TestGroupedStoppingCriterion:
             grouped = GroupedStoppingCriterion(inner, 4)
             decision = grouped.evaluate([1.0, 2.0, 1.0, 2.0] * 20)
             assert decision.sample_size == 80
+
+    def test_group_means_fold_left_to_right_on_every_python(self):
+        # A left fold gives (((1e16 + 1) - 1e16) + 1) = 1.0; the compensated
+        # built-in sum() of Python 3.12+ would give 2.0 and a mean of 0.5.
+        grouped = GroupedStoppingCriterion(_inner(), 4)
+        assert grouped._group_means([1e16, 1.0, -1e16, 1.0]).tolist() == [0.25]
+
+    def test_group_means_equal_sequential_sums(self):
+        grouped = GroupedStoppingCriterion(_inner(), 8)
+        rng = np.random.default_rng(3)
+        sample = (rng.exponential(1e-12, size=803) * 1e3).tolist()
+        expected = []
+        for start in range(0, 800, 8):
+            total = 0.0
+            for value in sample[start : start + 8]:
+                total += value
+            expected.append(total / 8)
+        assert grouped._group_means(sample).tolist() == expected

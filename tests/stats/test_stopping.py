@@ -111,6 +111,47 @@ class TestOrderStatisticSpecifics:
         with pytest.raises(ValueError):
             OrderStatisticStoppingCriterion(num_batches=4)
 
+    def test_rank_from_exact_binomial_tail(self):
+        # Coverage of r = 3 is 1 - 2 * 137 / 2**16 = 0.9958; r = 4 gives 0.9787.
+        criterion = OrderStatisticStoppingCriterion(confidence=0.99, num_batches=16)
+        assert criterion.order_statistic_rank(16) == 3
+
+    def test_rank_lookup_is_memoized(self):
+        from repro.stats.stopping.order_stat import _order_statistic_rank
+
+        criterion = OrderStatisticStoppingCriterion(confidence=0.987, num_batches=24)
+        criterion.order_statistic_rank(24)
+        hits = _order_statistic_rank.cache_info().hits
+        criterion.order_statistic_rank(24)
+        assert _order_statistic_rank.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("size", [16, 17, 100, 257, 4096, 20_003, 160_015])
+    def test_batch_means_equal_per_slice_means(self, size):
+        criterion = OrderStatisticStoppingCriterion(num_batches=16)
+        data = np.random.default_rng(size).gamma(2.0, 1e-12, size=size)
+        batch = size // 16
+        expected = [data[i * batch : (i + 1) * batch].mean() for i in range(15)]
+        expected.append(data[15 * batch :].mean())
+        assert criterion.batch_means(data).tolist() == expected
+
+
+class TestArrayInput:
+    """A float64 array (the estimators' buffer view) decides exactly like a list."""
+
+    @pytest.mark.parametrize("criterion_class", CRITERION_CLASSES, ids=lambda c: c.name)
+    def test_view_and_list_give_identical_decisions(self, criterion_class):
+        from repro.stats.sample_buffer import SampleBuffer
+
+        criterion = criterion_class(max_relative_error=0.05, confidence=0.99, min_samples=64)
+        rng = np.random.default_rng(8)
+        buffer = SampleBuffer()
+        values: list[float] = []
+        for _ in range(40):
+            block = rng.gamma(3.0, 1e-12, size=96).tolist()
+            buffer.extend(block)
+            values.extend(block)
+            assert criterion.evaluate(buffer.view()) == criterion.evaluate(values)
+
 
 class TestKolmogorovSmirnovSpecifics:
     def test_dkw_epsilon_shrinks_with_sample_size(self):
